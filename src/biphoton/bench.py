@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from .polarization import STATE_KINDS, Projector
 
 FAILURE_MODELS = ("uniform_depolarizer", "bernoulli_identity")
-ROTATION_BASES = ("hv", "diag")
 
 _ANGLE_ATOL = 1e-9
 _AMPLITUDE_ATOL = 1e-12
@@ -108,15 +107,11 @@ class PockelsParams:
     applied to every idler photon; under ``bernoulli_identity`` the rotation
     succeeds with probability p = (1 + q)/2 and otherwise does nothing, so
     both models produce the same coincidence visibility q.
-
-    ``basis`` records which linear basis the experiment is aligned to; the
-    rotation itself is a plane rotation and acts identically in either.
     """
 
     q: float = 1.0
     failure_model: str = "uniform_depolarizer"
     rotation_angle_deg: float = 90.0
-    basis: str = "hv"
 
     def __post_init__(self):
         if not 0.0 <= self.q <= 1.0:
@@ -125,8 +120,6 @@ class PockelsParams:
             raise ConfigError(
                 f"PockelsParams: failure_model {self.failure_model!r} not in {FAILURE_MODELS}"
             )
-        if self.basis not in ROTATION_BASES:
-            raise ConfigError(f"PockelsParams: basis {self.basis!r} not in {ROTATION_BASES}")
 
     @property
     def success_probability(self) -> float:
@@ -176,8 +169,8 @@ class BenchConfig:
     background_rate_hz: float = 0.0
 
     def __post_init__(self):
-        if self.pair_rate_hz < 0:
-            raise ConfigError("BenchConfig: pair_rate_hz must be >= 0")
+        if not 0.0 <= self.pair_rate_hz < math.inf:
+            raise ConfigError("BenchConfig: pair_rate_hz must be finite and >= 0")
         if self.source_kind not in STATE_KINDS:
             raise ConfigError(
                 f"BenchConfig: source_kind {self.source_kind!r} not in {STATE_KINDS}"

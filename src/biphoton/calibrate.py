@@ -124,10 +124,12 @@ def eta_conditional(c: CountSummary) -> Estimate:
         raise CalibrationError("uncalibratable: zero Pockels contrast")
     if c.n_v + c.n_h == 0:
         raise CalibrationError("eta_conditional: zero singles rates")
-    value = (
-        (c.n_v - c.n_h) / (c.n_v + c.n_h) * (c.nc_v + c.nc_h) / (c.nc_v - c.nc_h)
-    )
-    return Estimate(value)
+    return Estimate(conditional_estimator(c.n_h, c.n_v, c.nc_h, c.nc_v))
+
+
+def conditional_estimator(n_h, n_v, nc_h, nc_v):
+    """The conditional estimator's formula; takes scalars or arrays, checks nothing."""
+    return (n_v - n_h) / (n_v + n_h) * (nc_v + nc_h) / (nc_v - nc_h)
 
 
 def apply_polarizer_correction(e: Estimate, epsilon: float) -> Estimate:
@@ -181,11 +183,18 @@ def eta_klyshko(k: KlyshkoCounts) -> Estimate:
     divide the denominator multiplicatively, which reproduces the expected
     sensitivity signs for N_i and N_c.
     """
-    gamma = 1.0 - k.n_signal * k.tau_ns * _NS_TO_S
-    alpha = 1.0 - k.n_signal * k.t_ns * _NS_TO_S
     if k.n_idler <= 0:
         raise CalibrationError("eta_klyshko: n_idler must be > 0")
-    return Estimate(k.n_coincidence / (k.n_idler * gamma * alpha))
+    return Estimate(
+        klyshko_estimator(k.n_idler, k.n_coincidence, k.n_signal, k.t_ns, k.tau_ns)
+    )
+
+
+def klyshko_estimator(n_idler, n_coincidence, n_signal, t_ns, tau_ns):
+    """The direct-calibration estimator's formula; takes scalars or arrays, checks nothing."""
+    gamma = 1.0 - n_signal * tau_ns * _NS_TO_S
+    alpha = 1.0 - n_signal * t_ns * _NS_TO_S
+    return n_coincidence / (n_idler * gamma * alpha)
 
 
 def fit_theta_curve(points) -> FitResult:

@@ -33,7 +33,7 @@ _GROUP_TYPES = {
     "tac": TacParams,
 }
 
-_STRING_KEYS = frozenset({"source_kind", "pockels.failure_model", "pockels.basis"})
+_STRING_KEYS = frozenset({"source_kind", "pockels.failure_model"})
 
 CONFIG_KEYS = (
     "pair_rate_hz",
@@ -47,7 +47,6 @@ CONFIG_KEYS = (
     "pockels.q",
     "pockels.failure_model",
     "pockels.rotation_angle_deg",
-    "pockels.basis",
     "fiber_delay_ns",
     "electronic_delay_ns",
     "pulse.rise_ns",
@@ -103,6 +102,11 @@ def parse_counts(text: str, allowed_keys) -> dict[str, float]:
 def parse_config(text: str) -> BenchConfig:
     """Build a BenchConfig from scenario text; unset keys keep their defaults."""
     kv = parse_keyvalues(text)
+    # Retired key of older scenario files, accepted and ignored: the rotation
+    # is a plane rotation and acts identically in either linear basis.
+    basis = kv.pop("pockels.basis", "hv")
+    if basis not in ("hv", "diag"):
+        raise ConfigError(f"key 'pockels.basis': {basis!r} not in ('hv', 'diag')")
     known = set(CONFIG_KEYS)
     for key in kv:
         if key not in known:

@@ -188,8 +188,23 @@ def _poisson_stream(rng: np.random.Generator, rate_hz: float, duration_s: float)
     return np.sort(rng.uniform(0.0, duration_s * _NS_PER_S, n))
 
 
-def _merge_streams(*streams: tuple[np.ndarray, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Merge (times, tag) streams into one time-ordered (times, tags) pair."""
+def _pair_stream(
+    cfg: BenchConfig, duration_s: float, seed: int
+) -> tuple[np.random.Generator, np.ndarray]:
+    """Seeded generator of one run and the sorted emission times of its pairs."""
+    if not 0.0 <= duration_s < math.inf:
+        raise ValueError(f"duration_s must be finite and >= 0, got {duration_s!r}")
+    rng = np.random.default_rng(seed)
+    return rng, _poisson_stream(rng, cfg.pair_rate_hz, duration_s)
+
+
+def _merge_streams(
+    *streams: tuple[np.ndarray, int | np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge (times, tag) streams into one time-ordered (times, tags) pair.
+
+    A tag is one integer for the whole stream or an array with one per event.
+    """
     times = np.concatenate([t for t, _ in streams]) if streams else np.empty(0)
     tags = np.concatenate(
         [np.full(len(t), tag, dtype=np.int64) for t, tag in streams]
@@ -213,30 +228,16 @@ def _dead_time_filter(times: np.ndarray, dead_ns: float) -> np.ndarray:
     return keep
 
 
-def _trigger_pass(
-    times: np.ndarray,
-    pair_idx: np.ndarray,
-    dead_ns: float,
-    gate: DriverGate | None,
-    n_pairs: int,
+def _detect(
+    dead_ns: float, *streams: tuple[np.ndarray, int | np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dead-time + driver pass over merged trigger candidates.
+    """One detector: its candidate (times, tag) streams merged, then dead time.
 
-    ``pair_idx`` holds the emitting pair's index, or -1 for dark events.
-    Returns the accepted-event mask and the per-pair pulse flags.
+    Returns the detected times and their tags.
     """
-    accepted = np.zeros(len(times), dtype=bool)
-    pulsed = np.zeros(n_pairs, dtype=bool)
-    next_live = -math.inf
-    for i, (t, j) in enumerate(zip(times.tolist(), pair_idx.tolist())):
-        if t < next_live:
-            continue
-        accepted[i] = True
-        next_live = t + dead_ns
-        fire = gate.on_detection(t) if gate is not None else True
-        if fire and j >= 0:
-            pulsed[j] = True
-    return accepted, pulsed
+    times, tags = _merge_streams(*streams)
+    keep = _dead_time_filter(times, dead_ns)
+    return times[keep], tags[keep]
 
 
 def _records_for(channel: str, times: np.ndarray, tags: np.ndarray) -> list[DetectionRecord]:
@@ -244,6 +245,44 @@ def _records_for(channel: str, times: np.ndarray, tags: np.ndarray) -> list[Dete
         DetectionRecord(channel, t, ORIGINS[int(tag)])
         for t, tag in zip(times.tolist(), tags.tolist())
     ]
+
+
+def _result(
+    cfg: BenchConfig,
+    duration_s: float,
+    seed: int,
+    trigger: tuple[np.ndarray, np.ndarray],
+    analyzer: tuple[np.ndarray, np.ndarray],
+    start_offset_ns: float,
+    keep_records: bool,
+) -> SimResult:
+    """Coincidences of the two detected (times, origin tags) arms, as a SimResult.
+
+    The TAC start line is delayed by ``start_offset_ns``, the constant path
+    offset of the analyzer arm, so that pair partners meet in its window.
+    """
+    (t1, origins1), (t2, origins2) = trigger, analyzer
+    coincidences = tac_coincidences(
+        t1 + start_offset_ns,
+        t2 + cfg.tac.stop_delay_ns,
+        cfg.tac.window_ns,
+        cfg.tac.stop_delay_ns,
+    )
+    records = None
+    if keep_records:
+        records = tuple(
+            _records_for("trigger", t1, origins1)
+            + _records_for("analyzer", t2, origins2)
+        )
+    return SimResult(
+        duration_s=duration_s,
+        singles_trigger=int(len(t1)),
+        singles_analyzer=int(len(t2)),
+        coincidences=int(coincidences),
+        config=cfg,
+        seed=seed,
+        records=records,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +341,8 @@ def run_conditional_experiment(
     under dead time.  Coincidences are counted by the TAC with the known
     constant path offset compensated in the start line.
     """
-    if duration_s < 0:
-        raise ValueError("duration_s must be >= 0")
-    rng = np.random.default_rng(seed)
-    duration_ns = duration_s * _NS_PER_S
-
-    n_pairs = rng.poisson(cfg.pair_rate_hz * duration_s) if duration_s > 0 else 0
-    t_pairs = np.sort(rng.uniform(0.0, duration_ns, n_pairs))
+    rng, t_pairs = _pair_stream(cfg, duration_s, seed)
+    n_pairs = len(t_pairs)
 
     group_states, p_pass = _idler_group_states(cfg)
     ana = cfg.analyzer
@@ -324,25 +358,19 @@ def run_conditional_experiment(
     )
     p_detect2 = np.clip(p_detect2, 0.0, 1.0)
 
-    # trigger arm
+    # trigger arm: each detection is tagged with its pair's index, -1 for a dark
     copol = rng.random(n_pairs) < p_pass
     cand1 = copol & (
         rng.random(n_pairs) < cfg.trigger_projector.transmittance * cfg.det1.eta
     )
     dark1 = _poisson_stream(rng, cfg.det1.dark_rate_hz, duration_s)
-    pair_indices = np.nonzero(cand1)[0]
-    t_cand1, idx1 = _merge_streams(
-        (t_pairs[cand1], 0), (dark1, 1)
+    t_det1, pair_det1 = _detect(
+        cfg.det1.dead_time_ns, (t_pairs[cand1], np.flatnonzero(cand1)), (dark1, -1)
     )
-    # retag: map merged tags to pair index (>= 0) or -1 for darks
-    merged_idx = np.full(len(t_cand1), -1, dtype=np.int64)
-    merged_idx[idx1 == 0] = pair_indices
     gate = DriverGate(cfg.driver.rate_threshold_hz, cfg.driver.disable_duration_s)
-    accepted1, pulsed = _trigger_pass(
-        t_cand1, merged_idx, cfg.det1.dead_time_ns, gate, n_pairs
-    )
-    t_det1 = t_cand1[accepted1]
-    tags_det1 = idx1[accepted1]
+    fired = np.array([gate.on_detection(t) for t in t_det1.tolist()], dtype=bool)
+    pulsed = np.zeros(n_pairs, dtype=bool)
+    pulsed[pair_det1[fired & (pair_det1 >= 0)]] = True
 
     # idler arm
     group = np.zeros(n_pairs, dtype=np.int64)
@@ -350,35 +378,17 @@ def run_conditional_experiment(
     group[pulsed] = 2
     cand2 = rng.random(n_pairs) < p_detect2[group]
     idler_offset_ns = cfg.fiber_delay_ns + cfg.electronic_delay_ns
-    t_idler = t_pairs[cand2] + idler_offset_ns
     dark2 = _poisson_stream(rng, cfg.det2.dark_rate_hz, duration_s)
     backgr = _poisson_stream(rng, cfg.background_rate_hz, duration_s)
-    t_cand2, tags2 = _merge_streams((t_idler, 0), (dark2, 1), (backgr, 2))
-    accepted2 = _dead_time_filter(t_cand2, cfg.det2.dead_time_ns)
-    t_det2 = t_cand2[accepted2]
-    tags_det2 = tags2[accepted2]
-
-    coincidences = tac_coincidences(
-        t_det1 + idler_offset_ns,  # start line delayed to match the idler path
-        t_det2 + cfg.tac.stop_delay_ns,
-        cfg.tac.window_ns,
-        cfg.tac.stop_delay_ns,
+    analyzer = _detect(
+        cfg.det2.dead_time_ns,
+        (t_pairs[cand2] + idler_offset_ns, 0),
+        (dark2, 1),
+        (backgr, 2),
     )
-
-    records = None
-    if keep_records:
-        records = tuple(
-            _records_for("trigger", t_det1, tags_det1)
-            + _records_for("analyzer", t_det2, tags_det2)
-        )
-    return SimResult(
-        duration_s=duration_s,
-        singles_trigger=int(len(t_det1)),
-        singles_analyzer=int(len(t_det2)),
-        coincidences=int(coincidences),
-        config=cfg,
-        seed=seed,
-        records=records,
+    trigger = (t_det1, np.where(pair_det1 < 0, 1, 0))
+    return _result(
+        cfg, duration_s, seed, trigger, analyzer, idler_offset_ns, keep_records
     )
 
 
@@ -394,52 +404,19 @@ def run_klyshko_experiment(
     mapped to ``analyzer``) with alpha * eta2, both under dead time.
     Coincidences use the TAC with the configured stop-line delay.
     """
-    if duration_s < 0:
-        raise ValueError("duration_s must be >= 0")
-    rng = np.random.default_rng(seed)
-    duration_ns = duration_s * _NS_PER_S
-
-    n_pairs = rng.poisson(cfg.pair_rate_hz * duration_s) if duration_s > 0 else 0
-    t_pairs = np.sort(rng.uniform(0.0, duration_ns, n_pairs))
+    rng, t_pairs = _pair_stream(cfg, duration_s, seed)
+    n_pairs = len(t_pairs)
 
     cand1 = rng.random(n_pairs) < cfg.det1.eta
     cand2 = rng.random(n_pairs) < cfg.idler_path_loss * cfg.det2.eta
     dark1 = _poisson_stream(rng, cfg.det1.dark_rate_hz, duration_s)
     dark2 = _poisson_stream(rng, cfg.det2.dark_rate_hz, duration_s)
     backgr = _poisson_stream(rng, cfg.background_rate_hz, duration_s)
-
-    t_cand1, tags1 = _merge_streams((t_pairs[cand1], 0), (dark1, 1))
-    accepted1 = _dead_time_filter(t_cand1, cfg.det1.dead_time_ns)
-    t_det1 = t_cand1[accepted1]
-    tags_det1 = tags1[accepted1]
-
-    t_cand2, tags2 = _merge_streams((t_pairs[cand2], 0), (dark2, 1), (backgr, 2))
-    accepted2 = _dead_time_filter(t_cand2, cfg.det2.dead_time_ns)
-    t_det2 = t_cand2[accepted2]
-    tags_det2 = tags2[accepted2]
-
-    coincidences = tac_coincidences(
-        t_det1,
-        t_det2 + cfg.tac.stop_delay_ns,
-        cfg.tac.window_ns,
-        cfg.tac.stop_delay_ns,
+    trigger = _detect(cfg.det1.dead_time_ns, (t_pairs[cand1], 0), (dark1, 1))
+    analyzer = _detect(
+        cfg.det2.dead_time_ns, (t_pairs[cand2], 0), (dark2, 1), (backgr, 2)
     )
-
-    records = None
-    if keep_records:
-        records = tuple(
-            _records_for("trigger", t_det1, tags_det1)
-            + _records_for("analyzer", t_det2, tags_det2)
-        )
-    return SimResult(
-        duration_s=duration_s,
-        singles_trigger=int(len(t_det1)),
-        singles_analyzer=int(len(t_det2)),
-        coincidences=int(coincidences),
-        config=cfg,
-        seed=seed,
-        records=records,
-    )
+    return _result(cfg, duration_s, seed, trigger, analyzer, 0.0, keep_records)
 
 
 # ---------------------------------------------------------------------------
@@ -477,15 +454,13 @@ def scan_delay(
     points = []
     for i, delay in enumerate(delays_ns):
         cfg_d = replace(cfg, electronic_delay_ns=float(delay))
-        res_h = run_conditional_experiment(
-            replace(cfg_d, analyzer=Projector(0.0, cfg.analyzer.transmittance)),
-            duration_s,
-            subseed(seed, i, 0),
-        )
-        res_v = run_conditional_experiment(
-            replace(cfg_d, analyzer=Projector(90.0, cfg.analyzer.transmittance)),
-            duration_s,
-            subseed(seed, i, 1),
+        res_h, res_v = (
+            run_conditional_experiment(
+                replace(cfg_d, analyzer=Projector(angle, cfg.analyzer.transmittance)),
+                duration_s,
+                subseed(seed, i, k),
+            )
+            for k, angle in enumerate((0.0, 90.0))
         )
         points.append(
             DelayScanPoint(

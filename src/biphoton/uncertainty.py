@@ -25,7 +25,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .calibrate import CountSummary, KlyshkoCounts, eta_conditional, eta_klyshko
+from .calibrate import (
+    CountSummary,
+    KlyshkoCounts,
+    conditional_estimator,
+    eta_conditional,
+    eta_klyshko,
+    klyshko_estimator,
+)
 
 _NS_TO_S = 1.0e-9
 
@@ -210,26 +217,13 @@ def budget_klyshko(
         t_ns=inputs[3].value,
     )
     coeffs = sensitivities_klyshko(k)
-    ordered = (coeffs[0], coeffs[1], coeffs[2], coeffs[3])
     return Budget(
-        eta_klyshko(k).value, _rows(inputs, ordered, reference_sensitivities)
+        eta_klyshko(k).value, _rows(inputs, coeffs, reference_sensitivities)
     )
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo cross-check
-
-
-def conditional_estimator(n_h, n_v, nc_h, nc_v):
-    """Vectorized conditional estimator (same formula as eta_conditional)."""
-    return (n_v - n_h) / (n_v + n_h) * (nc_v + nc_h) / (nc_v - nc_h)
-
-
-def klyshko_estimator(n_idler, n_coincidence, n_signal, t_ns, tau_ns):
-    """Vectorized direct-calibration estimator (same formula as eta_klyshko)."""
-    gamma = 1.0 - n_signal * tau_ns * _NS_TO_S
-    alpha = 1.0 - n_signal * t_ns * _NS_TO_S
-    return n_coincidence / (n_idler * gamma * alpha)
 
 
 def _sample(inp: UncertainInput, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -85,12 +85,13 @@ def test_config_validation_errors():
         PockelsParams(q=-0.1)
     with pytest.raises(ConfigError, match="failure_model"):
         PockelsParams(failure_model="sometimes")
-    with pytest.raises(ConfigError, match="basis"):
-        PockelsParams(basis="circular")
     with pytest.raises(ConfigError, match="window_ns"):
         TacParams(window_ns=0.0)
     with pytest.raises(ConfigError, match="source_kind"):
         BenchConfig(source_kind="thermal")
+    for rate in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="pair_rate_hz"):
+            BenchConfig(pair_rate_hz=rate)
     with pytest.raises(ConfigError, match="state_visibility"):
         BenchConfig(state_visibility=1.2)
     with pytest.raises(ConfigError, match="idler_path_loss"):

@@ -89,6 +89,17 @@ def test_simulate_missing_config_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("experiment", ["conditional", "klyshko"])
+@pytest.mark.parametrize("duration", ["nan", "inf", "-inf"])
+def test_simulate_non_finite_duration_is_usage_error(scenario_file, capsys, experiment, duration):
+    code = main(
+        ["simulate", "--config", str(scenario_file), f"--duration={duration}",
+         "--experiment", experiment]
+    )
+    assert code == 2
+    assert "duration_s must be finite" in capsys.readouterr().err
+
+
 def test_scan_theta_csv(scenario_file, tmp_path):
     out = tmp_path / "scan.csv"
     code = main(

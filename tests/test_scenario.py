@@ -26,7 +26,7 @@ def test_round_trip_modified_config():
         idler_path_loss=0.35,
         trigger_projector=Projector(45.0, 0.9842),
         analyzer=Projector(135.0, 0.99),
-        pockels=PockelsParams(q=0.832, failure_model="bernoulli_identity", basis="diag"),
+        pockels=PockelsParams(q=0.832, failure_model="bernoulli_identity"),
         fiber_delay_ns=1000.0,
         electronic_delay_ns=200.0,
         det1=DetectorParams(eta=0.486, dead_time_ns=40.0, dark_rate_hz=150.0),
@@ -81,6 +81,14 @@ def test_parse_validates_through_config_invariants():
         parse_config("det1.eta=1.5\n")
     with pytest.raises(ConfigError, match="source_kind"):
         parse_config("source_kind=laser\n")
+
+
+def test_parse_ignores_legacy_basis_key():
+    text = "det1.eta=0.486\n"
+    for basis in ("hv", "diag"):
+        assert parse_config(text + f"pockels.basis={basis}\n") == parse_config(text)
+    with pytest.raises(ConfigError, match="pockels.basis"):
+        parse_config(text + "pockels.basis=circular\n")
 
 
 def test_parse_keyvalues_preserves_strings():
