@@ -26,6 +26,11 @@ class ConfigError(ValueError):
     """Invalid bench configuration."""
 
 
+def _finite_nonneg(value: float) -> bool:
+    """False for negative values, NaN and infinity alike."""
+    return 0.0 <= value < math.inf
+
+
 class NoClosedFormError(ValueError):
     """No analytic prediction for this configuration; use the Monte Carlo."""
 
@@ -77,9 +82,9 @@ class DriverPolicy:
     disable_duration_s: float = 1.0
 
     def __post_init__(self):
-        if self.rate_threshold_hz <= 0:
+        if not self.rate_threshold_hz > 0:
             raise ConfigError("DriverPolicy: rate_threshold_hz must be > 0")
-        if self.disable_duration_s < 0:
+        if not self.disable_duration_s >= 0:
             raise ConfigError("DriverPolicy: disable_duration_s must be >= 0")
 
 
@@ -94,8 +99,10 @@ class DetectorParams:
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigError(f"DetectorParams: eta = {self.eta} outside [0, 1]")
-        if self.dead_time_ns < 0 or self.dark_rate_hz < 0:
-            raise ConfigError("DetectorParams: dead time and dark rate must be >= 0")
+        if not (_finite_nonneg(self.dead_time_ns) and _finite_nonneg(self.dark_rate_hz)):
+            raise ConfigError(
+                "DetectorParams: dead time and dark rate must be finite and >= 0"
+            )
 
 
 @dataclass(frozen=True)
@@ -135,10 +142,10 @@ class TacParams:
     stop_delay_ns: float = 9.3
 
     def __post_init__(self):
-        if self.window_ns <= 0:
-            raise ConfigError("TacParams: window_ns must be > 0")
-        if self.stop_delay_ns < 0:
-            raise ConfigError("TacParams: stop_delay_ns must be >= 0")
+        if not 0 < self.window_ns < math.inf:
+            raise ConfigError("TacParams: window_ns must be finite and > 0")
+        if not _finite_nonneg(self.stop_delay_ns):
+            raise ConfigError("TacParams: stop_delay_ns must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -169,7 +176,7 @@ class BenchConfig:
     background_rate_hz: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.pair_rate_hz < math.inf:
+        if not _finite_nonneg(self.pair_rate_hz):
             raise ConfigError("BenchConfig: pair_rate_hz must be finite and >= 0")
         if self.source_kind not in STATE_KINDS:
             raise ConfigError(
@@ -179,10 +186,12 @@ class BenchConfig:
             raise ConfigError("BenchConfig: state_visibility outside [0, 1]")
         if not 0.0 <= self.idler_path_loss <= 1.0:
             raise ConfigError("BenchConfig: idler_path_loss outside [0, 1]")
-        if self.fiber_delay_ns < 0 or self.electronic_delay_ns < 0:
-            raise ConfigError("BenchConfig: delays must be >= 0")
-        if self.background_rate_hz < 0:
-            raise ConfigError("BenchConfig: background_rate_hz must be >= 0")
+        if not (
+            _finite_nonneg(self.fiber_delay_ns) and _finite_nonneg(self.electronic_delay_ns)
+        ):
+            raise ConfigError("BenchConfig: delays must be finite and >= 0")
+        if not _finite_nonneg(self.background_rate_hz):
+            raise ConfigError("BenchConfig: background_rate_hz must be finite and >= 0")
 
     def pulse_amplitude_at_idler(self) -> float:
         """Pulse amplitude sampled by the idler for this timing setup."""

@@ -29,7 +29,6 @@ dead time.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -105,35 +104,47 @@ def subseed(seed: int, *path: int) -> int:
     return int(state[0]) << 32 | int(state[1])
 
 
-class DriverGate:
+def _check_stream(what: str, times: np.ndarray) -> None:
+    """Raise ValueError unless ``times`` is finite and time-ordered."""
+    if times.size and not (
+        (times[1:] >= times[:-1]).all()  # False next to a NaN
+        and math.isfinite(times[0])
+        and math.isfinite(times[-1])
+    ):
+        if not np.isfinite(times).all():
+            raise ValueError(f"{what} has non-finite times")
+        raise ValueError(f"{what} is not time-ordered")
+
+
+def driver_gate(times_ns, rate_threshold_hz: float, disable_duration_s: float) -> np.ndarray:
     """Sliding-window rate protection for the high-voltage driver.
 
-    Feed every trigger detection (photon or dark) through
-    :meth:`on_detection`; it returns whether a pulse is scheduled.  When a
-    detection pushes the trailing-one-second count above
-    ``rate_threshold_hz * 1 s`` the gate disables for the configured
-    duration, starting with that detection's own pulse.  Detections during
-    the disabled stretch still count toward the rate.
+    ``times_ns`` are the time-ordered trigger detections (photon or dark);
+    returns whether each one schedules a pulse.  When a detection pushes the
+    trailing-one-second count above ``rate_threshold_hz * 1 s`` the gate
+    disables for the configured duration, starting with that detection's own
+    pulse.  Detections during the disabled stretch still count toward the
+    rate.  Only the disable episodes are walked in Python: none below the
+    threshold.
     """
-
-    def __init__(self, rate_threshold_hz: float, disable_duration_s: float):
-        self._limit = rate_threshold_hz * 1.0
-        self._disable_ns = disable_duration_s * _NS_PER_S
-        self._window: deque[float] = deque()
-        self._disabled_until = -math.inf
-
-    def on_detection(self, t_ns: float) -> bool:
-        w = self._window
-        w.append(t_ns)
-        cutoff = t_ns - _NS_PER_S
-        while w and w[0] <= cutoff:
-            w.popleft()
-        if t_ns < self._disabled_until:
-            return False
-        if len(w) > self._limit:
-            self._disabled_until = t_ns + self._disable_ns
-            return False
-        return True
+    t = np.asarray(times_ns, dtype=float)
+    if not (rate_threshold_hz > 0 and disable_duration_s >= 0):
+        raise ValueError("driver_gate: need rate_threshold_hz > 0 and disable_duration_s >= 0")
+    _check_stream("driver_gate: detection stream", t)
+    n = len(t)
+    # detections in (t - 1 s, t], the detection itself included
+    in_window = np.arange(1, n + 1) - np.searchsorted(t, t - _NS_PER_S, side="right")
+    over = np.flatnonzero(in_window > rate_threshold_hz)
+    disable_ns = disable_duration_s * _NS_PER_S
+    fired = np.ones(n, dtype=bool)
+    k = 0
+    while k < len(over):
+        # the gate is live at over[k]: it disables until t + disable_ns
+        i = int(over[k])
+        live_again = max(int(np.searchsorted(t, t[i] + disable_ns, side="left")), i + 1)
+        fired[i:live_again] = False
+        k = int(np.searchsorted(over, live_again, side="left"))
+    return fired
 
 
 def tac_coincidences(
@@ -151,31 +162,58 @@ def tac_coincidences(
     """
     starts = np.asarray(starts, dtype=float)
     stops = np.asarray(stops, dtype=float)
-    if starts.size and np.any(np.diff(starts) < 0):
-        raise ValueError("tac_coincidences: start stream is not time-ordered")
-    if stops.size and np.any(np.diff(stops) < 0):
-        raise ValueError("tac_coincidences: stop stream is not time-ordered")
-    if window_ns <= 0:
-        raise ValueError("tac_coincidences: window_ns must be > 0")
+    _check_stream("tac_coincidences: start stream", starts)
+    _check_stream("tac_coincidences: stop stream", stops)
+    if not 0 < window_ns < math.inf:
+        raise ValueError("tac_coincidences: window_ns must be finite and > 0")
+    if not math.isfinite(stop_delay_ns):
+        raise ValueError("tac_coincidences: stop_delay_ns must be finite")
+    m = len(stops)
+    if not starts.size or not m:
+        return 0
     half = window_ns / 2.0
-    stop_list = stops.tolist()
-    m = len(stop_list)
-    count = 0
-    j = 0
-    busy_until = -math.inf
-    for t in starts.tolist():
+    centre = starts + stop_delay_ns
+    lo = centre - half
+    hi = centre + half
+    first = np.searchsorted(stops, lo, side="left")  # first stop >= lo
+    # what each start counts when the converter is idle and no earlier stop
+    # is taken at or beyond ``first``
+    matched = (first < m) & (stops[np.minimum(first, m - 1)] <= hi)
+    # After start i-1 the converter is busy until at most max(t, hi) of i-1
+    # and has taken no stop beyond hi of i-1, so start i is independent of
+    # every earlier start unless it falls inside either bound.
+    dependent = 1 + np.flatnonzero(
+        (starts[1:] < np.maximum(starts[:-1], hi[:-1])) | (lo[1:] <= hi[:-1])
+    )
+    count = int(np.count_nonzero(matched))
+    if not dependent.size:
+        return count
+    count -= int(np.count_nonzero(matched[dependent]))
+    # replay each run of dependent starts from the state its head leaves
+    prev = -2
+    for i, t, t_hi, f in zip(
+        dependent.tolist(),
+        starts[dependent].tolist(),
+        hi[dependent].tolist(),
+        first[dependent].tolist(),
+    ):
+        if i != prev + 1:
+            j = int(first[i - 1])
+            if matched[i - 1]:
+                busy_until = max(float(starts[i - 1]), float(stops[j]))
+                j += 1
+            else:
+                busy_until = float(hi[i - 1])
+        prev = i
         if t < busy_until:
             continue
-        lo = t + stop_delay_ns - half
-        hi = t + stop_delay_ns + half
-        while j < m and stop_list[j] < lo:
-            j += 1
-        if j < m and stop_list[j] <= hi:
+        j = max(j, f)
+        if j < m and stops[j] <= t_hi:
             count += 1
-            busy_until = max(t, stop_list[j])
+            busy_until = max(t, float(stops[j]))
             j += 1
         else:
-            busy_until = hi
+            busy_until = t_hi
     return count
 
 
@@ -214,16 +252,32 @@ def _merge_streams(
 
 
 def _dead_time_filter(times: np.ndarray, dead_ns: float) -> np.ndarray:
-    """Non-paralyzable dead time: keep an event iff the detector is live."""
+    """Non-paralyzable dead time: keep an event iff the detector is live.
+
+    An event at least ``dead_ns`` after its predecessor is live, and one
+    closer to a live predecessor is dead, whatever came before.  Only runs
+    of two or more consecutive close events need the sequential rule.
+    """
     n = len(times)
     keep = np.ones(n, dtype=bool)
     if dead_ns <= 0 or n == 0:
         return keep
-    next_live = -math.inf
-    for i, t in enumerate(times.tolist()):
-        if t < next_live:
-            keep[i] = False
-        else:
+    close = times[1:] < times[:-1] + dead_ns
+    keep[1:] = ~close
+    # events close to a close predecessor: replay each run of them from the
+    # live event two places before its first one
+    chained = 2 + np.flatnonzero(close[1:] & close[:-1])
+    if not chained.size:
+        return keep
+    prev = -2
+    for i, t, t_head in zip(
+        chained.tolist(), times[chained].tolist(), times[chained - 2].tolist()
+    ):
+        if i != prev + 1:
+            next_live = t_head + dead_ns
+        prev = i
+        if t >= next_live:
+            keep[i] = True
             next_live = t + dead_ns
     return keep
 
@@ -367,8 +421,9 @@ def run_conditional_experiment(
     t_det1, pair_det1 = _detect(
         cfg.det1.dead_time_ns, (t_pairs[cand1], np.flatnonzero(cand1)), (dark1, -1)
     )
-    gate = DriverGate(cfg.driver.rate_threshold_hz, cfg.driver.disable_duration_s)
-    fired = np.array([gate.on_detection(t) for t in t_det1.tolist()], dtype=bool)
+    fired = driver_gate(
+        t_det1, cfg.driver.rate_threshold_hz, cfg.driver.disable_duration_s
+    )
     pulsed = np.zeros(n_pairs, dtype=bool)
     pulsed[pair_det1[fired & (pair_det1 >= 0)]] = True
 

@@ -3,15 +3,23 @@
 The oracles here deliberately avoid the package's own algebra paths: the
 branch enumeration builds its states with raw numpy kron/reshape calls and
 applies the depolarizer as a direct convex mixture, so closure tests compare
-two genuinely different computations.
+two genuinely different computations.  The engine's vectorized dead-time,
+driver-gate and TAC passes are checked against the plain event loops below.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests run a fixed sequence of examples and keep no example
+# database, so the suite is deterministic and needs nothing outside the tree.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def sigfigs_ok(value: float, reference: float, n: int) -> bool:
@@ -117,6 +125,74 @@ def enumerate_conditional_rates(
         "nc_h": rate(0.0, True),
         "nc_v": rate(90.0, True),
     }
+
+
+def dead_time_reference(times, dead_ns: float) -> np.ndarray:
+    """Non-paralyzable dead time, one event at a time: keep an event iff live."""
+    keep = np.ones(len(times), dtype=bool)
+    if dead_ns <= 0:
+        return keep
+    next_live = -math.inf
+    for i, t in enumerate(np.asarray(times, dtype=float).tolist()):
+        if t < next_live:
+            keep[i] = False
+        else:
+            next_live = t + dead_ns
+    return keep
+
+
+class StreamingDriverGate:
+    """The driver's rate protection fed one trigger detection at a time.
+
+    :meth:`on_detection` returns whether a pulse is scheduled.  When a
+    detection pushes the trailing-one-second count above
+    ``rate_threshold_hz * 1 s`` the gate disables for the configured
+    duration, starting with that detection's own pulse.  Detections during
+    the disabled stretch still count toward the rate.
+    """
+
+    def __init__(self, rate_threshold_hz: float, disable_duration_s: float):
+        self._limit = rate_threshold_hz * 1.0
+        self._disable_ns = disable_duration_s * 1.0e9
+        self._window: deque[float] = deque()
+        self._disabled_until = -math.inf
+
+    def on_detection(self, t_ns: float) -> bool:
+        w = self._window
+        w.append(t_ns)
+        cutoff = t_ns - 1.0e9
+        while w and w[0] <= cutoff:
+            w.popleft()
+        if t_ns < self._disabled_until:
+            return False
+        if len(w) > self._limit:
+            self._disabled_until = t_ns + self._disable_ns
+            return False
+        return True
+
+
+def tac_loop_reference(starts, stops, window_ns: float, stop_delay_ns: float) -> int:
+    """Start-stop TAC as one pass over the starts with a moving stop cursor."""
+    half = window_ns / 2.0
+    stops = list(stops)
+    m = len(stops)
+    count = 0
+    j = 0
+    busy_until = -math.inf
+    for t in starts:
+        if t < busy_until:
+            continue
+        lo = t + stop_delay_ns - half
+        hi = t + stop_delay_ns + half
+        while j < m and stops[j] < lo:
+            j += 1
+        if j < m and stops[j] <= hi:
+            count += 1
+            busy_until = max(t, stops[j])
+            j += 1
+        else:
+            busy_until = hi
+    return count
 
 
 def tac_reference(starts, stops, window_ns: float, stop_delay_ns: float) -> int:

@@ -96,6 +96,26 @@ def test_config_validation_errors():
         BenchConfig(state_visibility=1.2)
     with pytest.raises(ConfigError, match="idler_path_loss"):
         BenchConfig(idler_path_loss=-0.2)
+    nan, inf = float("nan"), float("inf")
+    for bad in (nan, inf):
+        with pytest.raises(ConfigError, match="dark rate"):
+            DetectorParams(dark_rate_hz=bad)
+        with pytest.raises(ConfigError, match="dead time"):
+            DetectorParams(dead_time_ns=bad)
+        with pytest.raises(ConfigError, match="background_rate_hz"):
+            BenchConfig(background_rate_hz=bad)
+        with pytest.raises(ConfigError, match="delays"):
+            BenchConfig(fiber_delay_ns=bad)
+        with pytest.raises(ConfigError, match="delays"):
+            BenchConfig(electronic_delay_ns=bad)
+        with pytest.raises(ConfigError, match="window_ns"):
+            TacParams(window_ns=bad)
+        with pytest.raises(ConfigError, match="stop_delay_ns"):
+            TacParams(stop_delay_ns=bad)
+    with pytest.raises(ConfigError, match="rate_threshold"):
+        DriverPolicy(rate_threshold_hz=nan)
+    with pytest.raises(ConfigError, match="disable_duration"):
+        DriverPolicy(disable_duration_s=nan)
 
 
 def test_bernoulli_success_probability():

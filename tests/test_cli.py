@@ -100,6 +100,15 @@ def test_simulate_non_finite_duration_is_usage_error(scenario_file, capsys, expe
     assert "duration_s must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["background_rate_hz=nan", "fiber_delay_ns=inf", "tac.window_ns=nan"])
+def test_simulate_non_finite_config_value_is_usage_error(tmp_path, capsys, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n")
+    code = main(["simulate", "--config", str(path), "--duration", "0.1"])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_scan_theta_csv(scenario_file, tmp_path):
     out = tmp_path / "scan.csv"
     code = main(

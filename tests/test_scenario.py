@@ -83,6 +83,23 @@ def test_parse_validates_through_config_invariants():
         parse_config("source_kind=laser\n")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("background_rate_hz=nan", "background_rate_hz"),
+        ("fiber_delay_ns=inf", "delays"),
+        ("electronic_delay_ns=-inf", "delays"),
+        ("tac.window_ns=nan", "window_ns"),
+        ("tac.stop_delay_ns=inf", "stop_delay_ns"),
+        ("det1.dark_rate_hz=nan", "dark rate"),
+        ("det2.dead_time_ns=inf", "dead time"),
+    ],
+)
+def test_parse_rejects_non_finite_values(line, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(line + "\n")
+
+
 def test_parse_ignores_legacy_basis_key():
     text = "det1.eta=0.486\n"
     for basis in ("hv", "diag"):

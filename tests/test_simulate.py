@@ -16,7 +16,7 @@ from biphoton.bench import (
 from biphoton.calibrate import fit_theta_curve, visibility
 from biphoton.polarization import Projector
 from biphoton.simulate import (
-    DriverGate,
+    driver_gate,
     run_conditional_experiment,
     run_klyshko_experiment,
     scan_delay,
@@ -219,22 +219,33 @@ def test_dead_time_enforced_on_each_channel():
 
 
 def test_driver_gate_unit_behavior():
-    gate = DriverGate(rate_threshold_hz=10.0, disable_duration_s=1.0)
-    fired = [gate.on_detection(i * 1.0e6) for i in range(14)]
-    # threshold is exceeded on the 11th detection inside the trailing second
-    assert fired[:10] == [True] * 10
-    assert fired[10:] == [False] * 4
     # a detection after the disable window and with an empty trailing second fires
-    assert gate.on_detection(13e6 + 1.5e9)
+    times = [i * 1.0e6 for i in range(14)] + [13e6 + 1.5e9]
+    fired = driver_gate(times, rate_threshold_hz=10.0, disable_duration_s=1.0)
+    # threshold is exceeded on the 11th detection inside the trailing second
+    assert fired.tolist() == [True] * 10 + [False] * 4 + [True]
 
 
 def test_driver_gate_reenables_only_after_disable_duration():
-    gate = DriverGate(rate_threshold_hz=2.0, disable_duration_s=1.0)
-    assert gate.on_detection(0.0)
-    assert gate.on_detection(1.0e3)
-    assert not gate.on_detection(2.0e3)  # third event in the second: disable
-    assert not gate.on_detection(0.5e9)  # still disabled
-    assert gate.on_detection(2.0e3 + 1.1e9)
+    times = [
+        0.0,
+        1.0e3,
+        2.0e3,  # third event in the second: disable
+        0.5e9,  # still disabled
+        2.0e3 + 1.1e9,
+    ]
+    fired = driver_gate(times, rate_threshold_hz=2.0, disable_duration_s=1.0)
+    assert fired.tolist() == [True, True, False, False, True]
+
+
+def test_driver_gate_rejects_unordered_detections_and_bad_policy():
+    with pytest.raises(ValueError, match="time-ordered"):
+        driver_gate([1.0, 0.0], 10.0, 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        driver_gate([0.0, math.nan], 10.0, 1.0)
+    for rate, disable in ((0.0, 1.0), (math.nan, 1.0), (10.0, -1.0), (10.0, math.nan)):
+        with pytest.raises(ValueError, match="rate_threshold_hz"):
+            driver_gate([0.0], rate, disable)
 
 
 def test_high_trigger_rate_suppresses_rotation():
@@ -270,6 +281,17 @@ def test_tac_rejects_unordered_streams_and_bad_window():
         tac_coincidences(good, bad, 4.0, 0.0)
     with pytest.raises(ValueError, match="window_ns"):
         tac_coincidences(good, good, 0.0, 0.0)
+    for bad_times in ([0.0, math.nan, 5.0], [0.0, math.inf], [-math.inf, 0.0]):
+        with pytest.raises(ValueError, match="start stream has non-finite"):
+            tac_coincidences(bad_times, good, 4.0, 0.0)
+        with pytest.raises(ValueError, match="stop stream has non-finite"):
+            tac_coincidences(good, bad_times, 4.0, 0.0)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="window_ns"):
+            tac_coincidences(good, good, value, 0.0)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="stop_delay_ns"):
+            tac_coincidences(good, good, 4.0, value)
 
 
 def test_tac_stop_delay_centers_the_window():
@@ -353,6 +375,36 @@ def test_klyshko_dead_time_biases_ratio_low():
     bias = 1.0 - ratio / 0.48
     sigma_bias = math.sqrt(ratio * (1 - ratio) / res.singles_analyzer) / 0.48
     assert abs(bias - n_s * 40.0e-9) < 3.0 * sigma_bias + 1e-3
+
+
+def test_klyshko_singles_follow_non_paralyzable_throughput():
+    # r * tau = 0.5 on both arms: most dead events sit in chains of two or
+    # more close events, where being close to a dead predecessor does not
+    # make an event dead.  A paralyzable detector would give r T exp(-r tau),
+    # about 35 standard deviations lower.
+    cfg = BenchConfig(
+        pair_rate_hz=1.0e6,
+        idler_path_loss=0.8,
+        det1=DetectorParams(eta=0.45, dead_time_ns=1000.0, dark_rate_hz=5.0e4),
+        det2=DetectorParams(eta=0.5, dead_time_ns=1200.0, dark_rate_hz=1.0e4),
+        background_rate_hz=2.0e4,
+    )
+    duration_s = 0.2
+    res = run_klyshko_experiment(cfg, duration_s, 31)
+    arms = (
+        (res.singles_trigger, cfg.pair_rate_hz * cfg.det1.eta + cfg.det1.dark_rate_hz,
+         cfg.det1.dead_time_ns),
+        (res.singles_analyzer,
+         cfg.pair_rate_hz * cfg.idler_path_loss * cfg.det2.eta + cfg.det2.dark_rate_hz
+         + cfg.background_rate_hz,
+         cfg.det2.dead_time_ns),
+    )
+    for singles, rate, dead_ns in arms:
+        x = 1.0 + rate * dead_ns * 1e-9
+        assert x >= 1.1
+        expected = rate * duration_s / x
+        sigma = math.sqrt(rate * duration_s / x**3)
+        assert abs(singles - expected) < 5.0 * sigma
 
 
 def test_klyshko_counts_polarization_independent():
