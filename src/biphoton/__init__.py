@@ -67,6 +67,7 @@ from .scenario import load_config, parse_config, render_config
 from .simulate import (
     DelayScanPoint,
     DetectionRecord,
+    EventRecords,
     SimResult,
     ThetaScanPoint,
     run_conditional_experiment,

@@ -48,8 +48,8 @@ class PulseShape:
     fall_ns: float = 3500.0
 
     def __post_init__(self):
-        if self.rise_ns < 0 or self.flat_ns < 0 or self.fall_ns < 0:
-            raise ConfigError("PulseShape: durations must be >= 0")
+        if not all(map(_finite_nonneg, (self.rise_ns, self.flat_ns, self.fall_ns))):
+            raise ConfigError("PulseShape: durations must be finite and >= 0")
 
     @property
     def total_ns(self) -> float:
@@ -127,6 +127,8 @@ class PockelsParams:
             raise ConfigError(
                 f"PockelsParams: failure_model {self.failure_model!r} not in {FAILURE_MODELS}"
             )
+        if not math.isfinite(self.rotation_angle_deg):
+            raise ConfigError("PockelsParams: rotation_angle_deg must be finite")
 
     @property
     def success_probability(self) -> float:

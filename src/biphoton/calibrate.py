@@ -50,8 +50,8 @@ class CountSummary:
 
     def __post_init__(self):
         for name in ("n_h", "n_v", "nc_h", "nc_v", "background_h", "background_v"):
-            if getattr(self, name) < 0:
-                raise CalibrationError(f"CountSummary: {name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise CalibrationError(f"CountSummary: {name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,11 @@ class KlyshkoCounts:
     t_ns: float
 
     def __post_init__(self):
-        if min(self.n_signal, self.n_idler, self.n_coincidence) < 0:
-            raise CalibrationError("KlyshkoCounts: rates must be >= 0")
-        if self.tau_ns < 0 or self.t_ns < 0:
-            raise CalibrationError("KlyshkoCounts: tau_ns and t_ns must be >= 0")
+        rates = (self.n_signal, self.n_idler, self.n_coincidence)
+        if not all(0 <= r < math.inf for r in rates):
+            raise CalibrationError("KlyshkoCounts: rates must be finite and >= 0")
+        if not (0 <= self.tau_ns < math.inf and 0 <= self.t_ns < math.inf):
+            raise CalibrationError("KlyshkoCounts: tau_ns and t_ns must be finite and >= 0")
         if self.n_coincidence > min(self.n_signal, self.n_idler):
             raise CalibrationError(
                 "KlyshkoCounts: coincidences exceed a singles rate"

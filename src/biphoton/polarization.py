@@ -130,6 +130,8 @@ class Projector:
     transmittance: float = 1.0
 
     def __post_init__(self):
+        if not math.isfinite(self.angle_deg):
+            raise ValueError(f"Projector: angle_deg {self.angle_deg} must be finite")
         if not 0.0 <= self.transmittance <= 1.0:
             raise ValueError(
                 f"Projector: transmittance {self.transmittance} outside [0, 1]"

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,13 +51,62 @@ ORIGINS = ("pair", "dark", "background")
 _NS_PER_S = 1.0e9
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
+class DetectionRecord(NamedTuple):
     """One detector click: channel, time in ns, and what produced it."""
 
     channel: str
     time_ns: float
     origin: str
+
+
+_CHANNEL_NAMES = np.array(CHANNELS, dtype=object)
+_ORIGIN_NAMES = np.array(ORIGINS, dtype=object)
+# Rows are turned into Python objects this many at a time, so that a large
+# record set never holds a Python object for every row at once.
+_ROWS_PER_CHUNK = 1 << 14
+
+
+@dataclass(frozen=True, eq=False)
+class EventRecords:
+    """The detector clicks of one run, stored as columns.
+
+    ``channel`` (int8) indexes :data:`CHANNELS`, ``time_ns`` (float64) is
+    the detection time and ``origin`` (int8) indexes :data:`ORIGINS`.  Rows
+    hold every trigger click in time order, then every analyzer click in
+    time order.  Iterating yields :class:`DetectionRecord` rows.
+    """
+
+    channel: np.ndarray
+    time_ns: np.ndarray
+    origin: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.time_ns)
+
+    def _chunks(self):
+        """(channel, time_ns, origin) column slices of at most _ROWS_PER_CHUNK rows."""
+        for lo in range(0, len(self), _ROWS_PER_CHUNK):
+            rows = slice(lo, lo + _ROWS_PER_CHUNK)
+            yield self.channel[rows], self.time_ns[rows], self.origin[rows]
+
+    def __iter__(self):
+        for channel, time_ns, origin in self._chunks():
+            yield from map(
+                DetectionRecord._make,
+                zip(
+                    _CHANNEL_NAMES[channel].tolist(),
+                    time_ns.tolist(),
+                    _ORIGIN_NAMES[origin].tolist(),
+                ),
+            )
+
+    def __eq__(self, other):
+        if not isinstance(other, EventRecords):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("channel", "time_ns", "origin")
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +123,7 @@ class SimResult:
     coincidences: int
     config: BenchConfig
     seed: int
-    records: tuple[DetectionRecord, ...] | None = None
+    records: EventRecords | None = None
 
     def __post_init__(self):
         if min(self.singles_trigger, self.singles_analyzer, self.coincidences) < 0:
@@ -294,11 +344,15 @@ def _detect(
     return times[keep], tags[keep]
 
 
-def _records_for(channel: str, times: np.ndarray, tags: np.ndarray) -> list[DetectionRecord]:
-    return [
-        DetectionRecord(channel, t, ORIGINS[int(tag)])
-        for t, tag in zip(times.tolist(), tags.tolist())
-    ]
+def _records_for(*arms: tuple[np.ndarray, np.ndarray]) -> EventRecords:
+    """Records of the detected (times, origin tags) arms, in CHANNELS order."""
+    return EventRecords(
+        channel=np.repeat(
+            np.arange(len(arms), dtype=np.int8), [len(t) for t, _ in arms]
+        ),
+        time_ns=np.concatenate([t for t, _ in arms]),
+        origin=np.concatenate([tags for _, tags in arms]).astype(np.int8),
+    )
 
 
 def _result(
@@ -315,19 +369,13 @@ def _result(
     The TAC start line is delayed by ``start_offset_ns``, the constant path
     offset of the analyzer arm, so that pair partners meet in its window.
     """
-    (t1, origins1), (t2, origins2) = trigger, analyzer
+    t1, t2 = trigger[0], analyzer[0]
     coincidences = tac_coincidences(
         t1 + start_offset_ns,
         t2 + cfg.tac.stop_delay_ns,
         cfg.tac.window_ns,
         cfg.tac.stop_delay_ns,
     )
-    records = None
-    if keep_records:
-        records = tuple(
-            _records_for("trigger", t1, origins1)
-            + _records_for("analyzer", t2, origins2)
-        )
     return SimResult(
         duration_s=duration_s,
         singles_trigger=int(len(t1)),
@@ -335,7 +383,7 @@ def _result(
         coincidences=int(coincidences),
         config=cfg,
         seed=seed,
-        records=records,
+        records=_records_for(trigger, analyzer) if keep_records else None,
     )
 
 
@@ -529,9 +577,20 @@ def scan_delay(
     return points
 
 
-def write_event_csv(records, path) -> None:
-    """Dump detection records as CSV: header ``channel,time_ns,origin``."""
+def write_event_csv(records: EventRecords, path) -> None:
+    """Dump detection records as CSV: header ``channel,time_ns,origin``.
+
+    Times are written with Python's float ``repr``, the shortest string that
+    reads back as the same float.
+    """
+    channel_cells = _CHANNEL_NAMES + ","
+    origin_cells = "," + _ORIGIN_NAMES + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write("channel,time_ns,origin\n")
-        for r in records:
-            fh.write(f"{r.channel},{r.time_ns!r},{r.origin}\n")
+        for channel, time_ns, origin in records._chunks():
+            # row i is cells[3i:3i+3]: "channel,", the time, ",origin\n"
+            cells = [""] * (3 * len(time_ns))
+            cells[0::3] = channel_cells[channel].tolist()
+            cells[1::3] = map(repr, time_ns.tolist())
+            cells[2::3] = origin_cells[origin].tolist()
+            fh.write("".join(cells))

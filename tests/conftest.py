@@ -4,7 +4,8 @@ The oracles here deliberately avoid the package's own algebra paths: the
 branch enumeration builds its states with raw numpy kron/reshape calls and
 applies the depolarizer as a direct convex mixture, so closure tests compare
 two genuinely different computations.  The engine's vectorized dead-time,
-driver-gate and TAC passes are checked against the plain event loops below.
+driver-gate and TAC passes and its column event-CSV writer are checked
+against the plain event loops below.
 """
 
 from __future__ import annotations
@@ -220,6 +221,14 @@ def tac_reference(starts, stops, window_ns: float, stop_delay_ns: float) -> int:
             count += 1
             busy_until = max(t, stops[matched])
     return count
+
+
+def event_csv_reference(records, path) -> None:
+    """Event CSV written one record at a time from ``DetectionRecord`` rows."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("channel,time_ns,origin\n")
+        for r in records:
+            fh.write(f"{r.channel},{r.time_ns!r},{r.origin}\n")
 
 
 def poisson_visibility_sigma(n_max: float, n_min: float) -> float:

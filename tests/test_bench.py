@@ -112,6 +112,13 @@ def test_config_validation_errors():
             TacParams(window_ns=bad)
         with pytest.raises(ConfigError, match="stop_delay_ns"):
             TacParams(stop_delay_ns=bad)
+        with pytest.raises(ConfigError, match="PulseShape"):
+            PulseShape(fall_ns=bad)
+    for bad in (nan, inf, -inf):
+        with pytest.raises(ConfigError, match="rotation_angle_deg"):
+            PockelsParams(rotation_angle_deg=bad)
+        with pytest.raises(ValueError, match="angle_deg"):
+            Projector(bad)
     with pytest.raises(ConfigError, match="rate_threshold"):
         DriverPolicy(rate_threshold_hz=nan)
     with pytest.raises(ConfigError, match="disable_duration"):

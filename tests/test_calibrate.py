@@ -75,6 +75,18 @@ def test_count_summary_rejects_negative():
         CountSummary(-1.0, 2.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_counts_reject_non_finite_fields(bad):
+    conditional = dict(n_h=100.0, n_v=10.0, nc_h=1.0, nc_v=1.0, background_h=0.0, background_v=0.0)
+    for name in conditional:
+        with pytest.raises(CalibrationError, match=f"{name} must be finite"):
+            CountSummary(**{**conditional, name: bad})
+    klyshko = dict(n_signal=100.0, n_idler=10.0, n_coincidence=1.0, tau_ns=0.0, t_ns=0.0)
+    for name in klyshko:
+        with pytest.raises(CalibrationError, match="must be finite"):
+            KlyshkoCounts(**{**klyshko, name: bad})
+
+
 # ---------------------------------------------------------------------------
 # corrections
 

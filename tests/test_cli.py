@@ -100,7 +100,17 @@ def test_simulate_non_finite_duration_is_usage_error(scenario_file, capsys, expe
     assert "duration_s must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["background_rate_hz=nan", "fiber_delay_ns=inf", "tac.window_ns=nan"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "background_rate_hz=nan",
+        "fiber_delay_ns=inf",
+        "tac.window_ns=nan",
+        "pulse.fall_ns=nan",
+        "pockels.rotation_angle_deg=nan",
+        "analyzer.angle_deg=nan",
+    ],
+)
 def test_simulate_non_finite_config_value_is_usage_error(tmp_path, capsys, line):
     path = tmp_path / "bad.cfg"
     path.write_text(line + "\n")
@@ -192,6 +202,28 @@ def test_calibrate_missing_key_is_usage_error(tmp_path, capsys):
     code = main(["calibrate", "--scheme", "conditional", "--counts", str(counts)])
     assert code == 2
     assert "missing keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scheme, line",
+    [
+        ("conditional", "nc_h=nan"),
+        ("conditional", "n_h=inf"),
+        ("klyshko", "n_signal=nan"),
+        ("klyshko", "t_ns=inf"),
+    ],
+)
+def test_calibrate_non_finite_count_is_usage_error(tmp_path, capsys, scheme, line):
+    text = REFERENCE_COUNTS if scheme == "conditional" else KLYSHKO_COUNTS
+    key = line.split("=")[0]
+    kept = [row for row in text.splitlines() if not row.startswith(key + "=")]
+    counts = tmp_path / "counts.txt"
+    counts.write_text("\n".join(kept + [line]) + "\n")
+    code = main(["calibrate", "--scheme", scheme, "--counts", str(counts)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert "nan" not in captured.out
 
 
 def test_calibrate_missing_file(tmp_path):

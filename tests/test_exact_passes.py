@@ -1,17 +1,34 @@
 """The engine's vectorized event passes equal the plain event loops exactly.
 
 Dead time, the driver gate and the TAC run as numpy calls with Python only
-over the events that interact; each is compared here with the one-event-at-
-a-time loop it replaces (in ``conftest``).  Times on a coarse grid make ties
-and exact hits on a window edge common.
+over the events that interact, and the event CSV is written from columns in
+one pass; each is compared here with the one-event-at-a-time loop it
+replaces (in ``conftest``).  Times on a coarse grid make ties and exact hits
+on a window edge common.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import StreamingDriverGate, dead_time_reference, tac_loop_reference, tac_reference
-from biphoton.simulate import _dead_time_filter, driver_gate, tac_coincidences
+from conftest import (
+    StreamingDriverGate,
+    dead_time_reference,
+    event_csv_reference,
+    tac_loop_reference,
+    tac_reference,
+)
+from biphoton.simulate import (
+    CHANNELS,
+    ORIGINS,
+    DetectionRecord,
+    EventRecords,
+    _ROWS_PER_CHUNK,
+    _dead_time_filter,
+    driver_gate,
+    tac_coincidences,
+    write_event_csv,
+)
 
 
 def grid_times(max_size: int, span: int, step: float, offset=st.just(0.0)):
@@ -106,3 +123,51 @@ def test_tac_matches_loop_on_dense_random_streams():
         got = tac_coincidences(starts, stops, window_ns, stop_delay_ns)
         assert got == tac_loop_reference(starts.tolist(), stops.tolist(), window_ns, stop_delay_ns)
         assert got > 0
+
+
+# times whose repr takes every form: 0.0, integer-valued, below 1e-4 and from
+# 1e16 up (exponent form), negative, and full 17-digit mantissas
+event_times = st.one_of(
+    st.sampled_from([0.0, -0.0, 3.0, 1.0e-5, 5.0e-324, 9.999e15, 1.0e16, 1.5e17, 1.0e22]),
+    st.integers(0, 10**17).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def assert_columns_match_rows(rows, out):
+    """Columns built from (channel, time, origin) index rows iterate and write as the rows."""
+    channel, time_ns, origin = zip(*rows) if rows else ((), (), ())
+    records = EventRecords(
+        np.array(channel, dtype=np.int8),
+        np.array(time_ns, dtype=float),
+        np.array(origin, dtype=np.int8),
+    )
+    expected = [DetectionRecord(CHANNELS[c], t, ORIGINS[o]) for c, t, o in rows]
+    assert list(records) == expected
+    write_event_csv(records, out / "columns.csv")
+    event_csv_reference(expected, out / "rows.csv")
+    assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, len(CHANNELS) - 1), event_times, st.integers(0, len(ORIGINS) - 1)),
+        max_size=40,
+    )
+)
+@example(rows=[])
+@example(rows=[(0, 0.0, 0), (0, 3.0, 1), (1, 1.0e-5, 2), (1, 1.0e16, 0), (1, 2.5e-7, 1)])
+def test_event_csv_matches_row_writer(tmp_path_factory, rows):
+    assert_columns_match_rows(rows, tmp_path_factory.mktemp("csv"))
+
+
+def test_event_csv_matches_row_writer_across_chunks(tmp_path):
+    n = 2 * _ROWS_PER_CHUNK + 5
+    rng = np.random.default_rng(3)
+    rows = zip(
+        rng.integers(0, len(CHANNELS), n).tolist(),
+        rng.uniform(0.0, 4.0e9, n).tolist(),
+        rng.integers(0, len(ORIGINS), n).tolist(),
+    )
+    assert_columns_match_rows(list(rows), tmp_path)

@@ -93,6 +93,8 @@ def test_parse_validates_through_config_invariants():
         ("tac.stop_delay_ns=inf", "stop_delay_ns"),
         ("det1.dark_rate_hz=nan", "dark rate"),
         ("det2.dead_time_ns=inf", "dead time"),
+        ("pulse.fall_ns=nan", "durations"),
+        ("pockels.rotation_angle_deg=inf", "rotation_angle_deg"),
     ],
 )
 def test_parse_rejects_non_finite_values(line, message):

@@ -16,6 +16,7 @@ from biphoton.bench import (
 from biphoton.calibrate import fit_theta_curve, visibility
 from biphoton.polarization import Projector
 from biphoton.simulate import (
+    EventRecords,
     driver_gate,
     run_conditional_experiment,
     run_klyshko_experiment,
@@ -202,6 +203,40 @@ def test_records_time_ordered_and_tagged():
     assert len(per_channel["trigger"]) == res.singles_trigger
     assert len(per_channel["analyzer"]) == res.singles_analyzer
     assert all(r.origin != "background" for r in per_channel["trigger"])
+
+
+@pytest.mark.parametrize("run", [run_conditional_experiment, run_klyshko_experiment])
+def test_keep_records_leaves_counts_unchanged(run):
+    cfg = replace(
+        closure_config(),
+        det1=DetectorParams(eta=0.45, dead_time_ns=40.0, dark_rate_hz=500.0),
+        det2=DetectorParams(eta=0.40, dead_time_ns=40.0, dark_rate_hz=500.0),
+        background_rate_hz=500.0,
+    )
+    kept = run(cfg, 1.0, 5, keep_records=True)
+    plain = run(cfg, 1.0, 5)
+    counts = (kept.singles_trigger, kept.singles_analyzer, kept.coincidences)
+    assert counts == (plain.singles_trigger, plain.singles_analyzer, plain.coincidences)
+    assert plain.records is None
+    rec = kept.records
+    assert (rec.channel.dtype, rec.time_ns.dtype, rec.origin.dtype) == (np.int8, np.float64, np.int8)
+    assert len(rec) == len(rec.channel) == len(rec.origin) == counts[0] + counts[1]
+    assert np.count_nonzero(rec.channel == 0) == kept.singles_trigger
+    assert np.count_nonzero(rec.channel == 1) == kept.singles_analyzer
+    assert not np.any(rec.channel[1:] < rec.channel[:-1])  # trigger rows first
+
+
+def test_event_records_compare_every_column():
+    base = {
+        "channel": np.array([0, 1], dtype=np.int8),
+        "time_ns": np.array([1.0, 2.0]),
+        "origin": np.array([0, 2], dtype=np.int8),
+    }
+    records = EventRecords(**base)
+    assert records == EventRecords(**{k: v.copy() for k, v in base.items()})
+    for name, other in (("channel", [0, 0]), ("time_ns", [1.0, 2.5]), ("origin", [0, 1])):
+        assert records != EventRecords(**{**base, name: np.array(other, dtype=base[name].dtype)})
+    assert records != EventRecords(**{k: v[:1] for k, v in base.items()})
 
 
 def test_dead_time_enforced_on_each_channel():
