@@ -215,6 +215,8 @@ def fit_theta_curve(points) -> FitResult:
         raise FitError(f"need at least 4 points, got {len(pts)}")
     theta = np.array([t for t, _ in pts])
     y = np.array([v for _, v in pts])
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(y))):
+        raise FitError("angles and counts must be finite")
     if theta.max() - theta.min() < 90.0:
         raise FitError("points must span at least 90 degrees")
     if np.any(y < 0):

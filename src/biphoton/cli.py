@@ -20,11 +20,12 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 from .bench import BenchConfig, ConfigError, predict_coincidence_visibility, predict_singles_visibility
 from .calibrate import (
     CountSummary,
+    FitError,
     KlyshkoCounts,
     apply_polarizer_correction,
     background_subtract,
@@ -52,31 +53,6 @@ from .uncertainty import (
     monte_carlo_uncertainty,
 )
 
-_CONDITIONAL_COUNT_KEYS = (
-    "n_h",
-    "n_v",
-    "nc_h",
-    "nc_v",
-    "u_n_h",
-    "u_n_v",
-    "u_nc_h",
-    "u_nc_v",
-    "background_h",
-    "background_v",
-)
-_KLYSHKO_COUNT_KEYS = (
-    "n_signal",
-    "n_idler",
-    "n_coincidence",
-    "tau_ns",
-    "t_ns",
-    "u_n_signal",
-    "u_n_idler",
-    "u_n_coincidence",
-    "t_half_width_ns",
-)
-
-
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
@@ -99,10 +75,31 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _emit(lines: list[str], out: str | None) -> None:
+    """Write CSV lines to the ``out`` path, or to stdout when it is unset."""
+    text = "\n".join(lines) + "\n"
+    if out:
+        _write_text(out, text)
+    else:
+        sys.stdout.write(text)
+
+
 def _require(counts: dict, keys, where: str) -> None:
     missing = [k for k in keys if k not in counts]
     if missing:
         raise ConfigError(f"{where}: missing keys {', '.join(missing)}")
+
+
+def _read_counts(path: str, cls, extra_keys):
+    """Build ``cls`` from a counts file; also return every value read.
+
+    The file may set the fields of ``cls`` and ``extra_keys``; each field
+    without a default is required.
+    """
+    names = [f.name for f in fields(cls)]
+    counts = parse_counts(_read_text(path), names + list(extra_keys))
+    _require(counts, [f.name for f in fields(cls) if f.default is MISSING], path)
+    return cls(**{name: counts[name] for name in names if name in counts}), counts
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +116,7 @@ def _cmd_simulate(args) -> int:
         f"{res.singles_trigger},{res.singles_analyzer},{res.coincidences},"
         f"{res.duration_s!r},{res.seed}",
     ]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(lines, args.out)
     return 0
 
 
@@ -147,25 +140,13 @@ def _cmd_scan(args) -> int:
             f"{p.delay_ns!r},{p.singles_h},{p.singles_v},{p.coinc_h},{p.coinc_v}"
             for p in rows
         ]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(lines, args.out)
     return 0
 
 
 def _calibrate_conditional(args) -> tuple[str, Budget | None]:
-    counts = parse_counts(_read_text(args.counts), _CONDITIONAL_COUNT_KEYS)
-    _require(counts, ("n_h", "n_v", "nc_h", "nc_v"), args.counts)
-    summary = CountSummary(
-        n_h=counts["n_h"],
-        n_v=counts["n_v"],
-        nc_h=counts["nc_h"],
-        nc_v=counts["nc_v"],
-        background_h=counts.get("background_h", 0.0),
-        background_v=counts.get("background_v", 0.0),
-    )
+    u_keys = ("u_n_h", "u_n_v", "u_nc_h", "u_nc_v")
+    summary, counts = _read_counts(args.counts, CountSummary, u_keys)
     if args.background:
         bg = parse_counts(_read_text(args.background), ("background_h", "background_v"))
         _require(bg, ("background_h", "background_v"), args.background)
@@ -177,7 +158,6 @@ def _calibrate_conditional(args) -> tuple[str, Budget | None]:
 
     estimate = eta_conditional(summary)
     budget = None
-    u_keys = ("u_n_h", "u_n_v", "u_nc_h", "u_nc_v")
     if all(k in counts for k in u_keys):
         budget = budget_conditional(
             [
@@ -208,18 +188,10 @@ def _calibrate_conditional(args) -> tuple[str, Budget | None]:
 
 
 def _calibrate_klyshko(args) -> tuple[str, Budget | None]:
-    counts = parse_counts(_read_text(args.counts), _KLYSHKO_COUNT_KEYS)
-    _require(counts, ("n_signal", "n_idler", "n_coincidence", "tau_ns", "t_ns"), args.counts)
-    k = KlyshkoCounts(
-        n_signal=counts["n_signal"],
-        n_idler=counts["n_idler"],
-        n_coincidence=counts["n_coincidence"],
-        tau_ns=counts["tau_ns"],
-        t_ns=counts["t_ns"],
-    )
+    u_keys = ("u_n_idler", "u_n_coincidence", "u_n_signal", "t_half_width_ns")
+    k, counts = _read_counts(args.counts, KlyshkoCounts, u_keys)
     estimate = eta_klyshko(k)
     budget = None
-    u_keys = ("u_n_idler", "u_n_coincidence", "u_n_signal", "t_half_width_ns")
     if all(key in counts for key in u_keys):
         budget = budget_klyshko(
             [
@@ -432,7 +404,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

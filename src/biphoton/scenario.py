@@ -1,69 +1,38 @@
 """Flat key=value scenario files describing a bench configuration.
 
 Keys are the dot-separated field paths of :class:`~biphoton.bench.BenchConfig`
-(``det1.eta=0.45``, ``pockels.q=0.832``, ``tac.stop_delay_ns=9.3``, ...).
-Lines starting with ``#`` are comments, unknown and duplicate keys are
-rejected, and ``parse_config(render_config(cfg)) == cfg`` holds exactly.
-The same grammar carries the count files consumed by the calibrate command.
+(``det1.eta=0.45``, ``pockels.q=0.832``, ``tac.stop_delay_ns=9.3``, ...), in
+the dataclasses' field order; a field whose default is a string takes a
+string, every other field a number.  Lines starting with ``#`` are comments,
+unknown and duplicate keys are rejected, and
+``parse_config(render_config(cfg)) == cfg`` holds exactly.  The same grammar
+carries the count files consumed by the calibrate command.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
-from .bench import (
-    BenchConfig,
-    ConfigError,
-    DetectorParams,
-    DriverPolicy,
-    PockelsParams,
-    PulseShape,
-    TacParams,
-)
-from .polarization import Projector
+from .bench import BenchConfig, ConfigError
 
-_GROUP_TYPES = {
-    "trigger_projector": Projector,
-    "analyzer": Projector,
-    "pockels": PockelsParams,
-    "pulse": PulseShape,
-    "driver": DriverPolicy,
-    "det1": DetectorParams,
-    "det2": DetectorParams,
-    "tac": TacParams,
-}
 
-_STRING_KEYS = frozenset({"source_kind", "pockels.failure_model"})
+def _leaves(obj, prefix=""):
+    """Yield ``(key, value)`` for each scalar field of dataclass ``obj``.
 
-CONFIG_KEYS = (
-    "pair_rate_hz",
-    "source_kind",
-    "state_visibility",
-    "idler_path_loss",
-    "trigger_projector.angle_deg",
-    "trigger_projector.transmittance",
-    "analyzer.angle_deg",
-    "analyzer.transmittance",
-    "pockels.q",
-    "pockels.failure_model",
-    "pockels.rotation_angle_deg",
-    "fiber_delay_ns",
-    "electronic_delay_ns",
-    "pulse.rise_ns",
-    "pulse.flat_ns",
-    "pulse.fall_ns",
-    "driver.rate_threshold_hz",
-    "driver.disable_duration_s",
-    "det1.eta",
-    "det1.dead_time_ns",
-    "det1.dark_rate_hz",
-    "det2.eta",
-    "det2.dead_time_ns",
-    "det2.dark_rate_hz",
-    "tac.window_ns",
-    "tac.stop_delay_ns",
-    "background_rate_hz",
-)
+    Fields come in declaration order; a field holding a dataclass expands
+    to its own fields as ``group.field``.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value
+
+
+_DEFAULTS = dict(_leaves(BenchConfig()))
+
+CONFIG_KEYS = tuple(_DEFAULTS)
 
 
 def parse_keyvalues(text: str) -> dict[str, str]:
@@ -84,19 +53,36 @@ def parse_keyvalues(text: str) -> dict[str, str]:
     return out
 
 
+def _number(key: str, raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ConfigError(f"key {key!r}: {raw!r} is not a number") from None
+
+
+def _check_keys(kv: dict[str, str], allowed) -> None:
+    for key in kv:
+        if key not in allowed:
+            raise ConfigError(f"unknown key {key!r}")
+
+
 def parse_counts(text: str, allowed_keys) -> dict[str, float]:
     """Parse a counts file; every value is a float, keys restricted to ``allowed_keys``."""
     kv = parse_keyvalues(text)
-    allowed = set(allowed_keys)
-    out = {}
-    for key, raw in kv.items():
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r}")
-        try:
-            out[key] = float(raw)
-        except ValueError:
-            raise ConfigError(f"key {key!r}: {raw!r} is not a number") from None
-    return out
+    _check_keys(kv, set(allowed_keys))
+    return {key: _number(key, raw) for key, raw in kv.items()}
+
+
+def _with_values(obj, values: dict[str, object], prefix=""):
+    """Copy of dataclass ``obj`` with the ``values`` keyed by its field paths."""
+    updates = {}
+    for f in fields(obj):
+        key, value = prefix + f.name, getattr(obj, f.name)
+        if is_dataclass(value):
+            updates[f.name] = _with_values(value, values, key + ".")
+        elif key in values:
+            updates[f.name] = values[key]
+    return replace(obj, **updates)
 
 
 def parse_config(text: str) -> BenchConfig:
@@ -107,33 +93,12 @@ def parse_config(text: str) -> BenchConfig:
     basis = kv.pop("pockels.basis", "hv")
     if basis not in ("hv", "diag"):
         raise ConfigError(f"key 'pockels.basis': {basis!r} not in ('hv', 'diag')")
-    known = set(CONFIG_KEYS)
-    for key in kv:
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r}")
-
-    top: dict[str, object] = {}
-    groups: dict[str, dict[str, object]] = {name: {} for name in _GROUP_TYPES}
-    for key, raw in kv.items():
-        if key in _STRING_KEYS:
-            value: object = raw
-        else:
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ConfigError(f"key {key!r}: {raw!r} is not a number") from None
-        if "." in key:
-            group, fieldname = key.split(".", 1)
-            groups[group][fieldname] = value
-        else:
-            top[key] = value
-
-    base = BenchConfig()
-    updates = dict(top)
-    for name, overrides in groups.items():
-        if overrides:
-            updates[name] = replace(getattr(base, name), **overrides)
-    return replace(base, **updates)
+    _check_keys(kv, _DEFAULTS)
+    values = {
+        key: raw if isinstance(_DEFAULTS[key], str) else _number(key, raw)
+        for key, raw in kv.items()
+    }
+    return _with_values(BenchConfig(), values)
 
 
 def _format_value(value) -> str:
@@ -144,12 +109,7 @@ def _format_value(value) -> str:
 
 def render_config(cfg: BenchConfig) -> str:
     """Emit every key in canonical order; inverse of :func:`parse_config`."""
-    lines = []
-    for key in CONFIG_KEYS:
-        obj = cfg
-        for part in key.split("."):
-            obj = getattr(obj, part)
-        lines.append(f"{key}={_format_value(obj)}")
+    lines = [f"{key}={_format_value(value)}" for key, value in _leaves(cfg)]
     return "\n".join(lines) + "\n"
 
 

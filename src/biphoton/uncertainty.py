@@ -55,6 +55,8 @@ class UncertainInput:
     def __post_init__(self):
         if self.std_dev < 0:
             raise ValueError(f"UncertainInput {self.name}: std_dev must be >= 0")
+        if not (math.isfinite(self.value) and math.isfinite(self.std_dev)):
+            raise ValueError(f"UncertainInput {self.name}: value and std_dev must be finite")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(
                 f"UncertainInput {self.name}: distribution "

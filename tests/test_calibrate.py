@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import enumerate_conditional_rates
 from biphoton.bench import BenchConfig, DetectorParams, PockelsParams
@@ -179,6 +181,19 @@ def test_drift_rescale_properties():
     assert back.nc_v == pytest.approx(c.nc_v, rel=1e-12)
 
 
+_rates = st.floats(1e-3, 1e7)
+
+
+@given(_rates, _rates, _rates, _rates, st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+def test_eta_conditional_invariant_under_drift_rescale(n_h, n_v, nc_h, nc_v, reference, observed):
+    # A common factor cancels in both contrasts.  Contrasts above 1e-2 keep
+    # the rounding of the rescaled rates far below the tolerance.
+    assume(abs(n_v - n_h) > 1e-2 * (n_v + n_h) and abs(nc_v - nc_h) > 1e-2 * (nc_v + nc_h))
+    c = CountSummary(n_h, n_v, nc_h, nc_v)
+    rescaled = eta_conditional(drift_rescale(c, reference, observed)).value
+    assert rescaled == pytest.approx(eta_conditional(c).value, rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # klyshko estimator
 
@@ -257,6 +272,11 @@ def test_fit_input_validation():
         fit_theta_curve([(0.0, 1.0), (10.0, 2.0), (20.0, 1.0), (30.0, 2.0)])
     with pytest.raises(FitError, match="rank-deficient"):
         fit_theta_curve([(0.0, 10.0), (90.0, 12.0), (0.0, 11.0), (90.0, 13.0)])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(FitError, match="finite"):
+            fit_theta_curve([(0.0, 10.0), (45.0, bad), (90.0, 12.0), (135.0, 11.0)])
+        with pytest.raises(FitError, match="finite"):
+            fit_theta_curve([(0.0, 10.0), (bad, 11.0), (90.0, 12.0), (135.0, 11.0)])
 
 
 def test_fit_poisson_coverage():

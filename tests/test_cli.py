@@ -205,12 +205,29 @@ def test_calibrate_missing_key_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "scheme, key",
+    [("conditional", key) for key in ("n_h", "n_v", "nc_h", "nc_v")]
+    + [("klyshko", key) for key in ("n_signal", "n_idler", "n_coincidence", "tau_ns", "t_ns")],
+)
+def test_calibrate_names_each_missing_required_key(tmp_path, capsys, scheme, key):
+    text = REFERENCE_COUNTS if scheme == "conditional" else KLYSHKO_COUNTS
+    kept = [row for row in text.splitlines() if not row.startswith(key + "=")]
+    counts = tmp_path / "counts.txt"
+    counts.write_text("\n".join(kept) + "\n")
+    code = main(["calibrate", "--scheme", scheme, "--counts", str(counts)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {counts}: missing keys {key}\n"
+
+
+@pytest.mark.parametrize(
     "scheme, line",
     [
         ("conditional", "nc_h=nan"),
         ("conditional", "n_h=inf"),
         ("klyshko", "n_signal=nan"),
         ("klyshko", "t_ns=inf"),
+        ("conditional", "u_n_h=nan"),
+        ("klyshko", "t_half_width_ns=nan"),
     ],
 )
 def test_calibrate_non_finite_count_is_usage_error(tmp_path, capsys, scheme, line):
@@ -251,6 +268,23 @@ def test_fit_rejects_headerless_file(tmp_path):
     path = tmp_path / "points.csv"
     path.write_text("no header here\n")
     assert main(["fit", "--points", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["0,100", "45,150", "90,200"], "at least 4 points"),
+        (["0,100", "45,nan", "90,200", "135,150"], "finite"),
+        (["0,100", "inf,150", "90,200", "135,150"], "finite"),
+    ],
+)
+def test_fit_unusable_points_are_usage_error(tmp_path, capsys, rows, message):
+    path = tmp_path / "points.csv"
+    path.write_text("\n".join(["theta_deg,counts"] + rows) + "\n")
+    assert main(["fit", "--points", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_selftest_passes(capsys):

@@ -1,15 +1,58 @@
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from biphoton.bench import BenchConfig, ConfigError, DetectorParams, PockelsParams, TacParams
-from biphoton.polarization import Projector
+from biphoton.bench import (
+    FAILURE_MODELS,
+    BenchConfig,
+    ConfigError,
+    DetectorParams,
+    DriverPolicy,
+    PockelsParams,
+    PulseShape,
+    TacParams,
+)
+from biphoton.polarization import STATE_KINDS, Projector
 from biphoton.scenario import (
     CONFIG_KEYS,
     parse_config,
     parse_counts,
     parse_keyvalues,
     render_config,
+)
+
+DEMO_SCENARIO = Path(__file__).resolve().parents[1] / "demos" / "data" / "bench_calibration.cfg"
+
+_unit = st.floats(0.0, 1.0)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_nonneg = st.floats(min_value=0.0, allow_infinity=False)
+_projectors = st.builds(Projector, _finite, _unit)
+_detectors = st.builds(DetectorParams, _unit, _nonneg, _nonneg)
+# Every valid BenchConfig, including the infinite driver settings it accepts.
+valid_configs = st.builds(
+    BenchConfig,
+    pair_rate_hz=_nonneg,
+    source_kind=st.sampled_from(STATE_KINDS),
+    state_visibility=_unit,
+    idler_path_loss=_unit,
+    trigger_projector=_projectors,
+    analyzer=_projectors,
+    pockels=st.builds(PockelsParams, _unit, st.sampled_from(FAILURE_MODELS), _finite),
+    fiber_delay_ns=_nonneg,
+    electronic_delay_ns=_nonneg,
+    pulse=st.builds(PulseShape, _nonneg, _nonneg, _nonneg),
+    driver=st.builds(
+        DriverPolicy, st.floats(min_value=0.0, exclude_min=True), st.floats(min_value=0.0)
+    ),
+    det1=_detectors,
+    det2=_detectors,
+    tac=st.builds(
+        TacParams, st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), _nonneg
+    ),
+    background_rate_hz=_nonneg,
 )
 
 
@@ -37,11 +80,21 @@ def test_round_trip_modified_config():
     assert parse_config(render_config(cfg)) == cfg
 
 
+@given(valid_configs)
+def test_round_trip_any_valid_config(cfg):
+    assert parse_config(render_config(cfg)) == cfg
+
+
 def test_render_emits_every_key_once():
     text = render_config(BenchConfig())
     keys = [line.split("=", 1)[0] for line in text.strip().splitlines()]
     assert keys == list(CONFIG_KEYS)
     assert len(set(keys)) == len(keys)
+    # The keys follow the dataclasses' field order, so reordering a field
+    # would reorder every rendered file; the shipped scenario pins the order.
+    shipped = parse_keyvalues(DEMO_SCENARIO.read_text(encoding="utf-8"))
+    del shipped["pockels.basis"]
+    assert list(shipped) == list(CONFIG_KEYS)
 
 
 def test_parse_partial_override_keeps_defaults():

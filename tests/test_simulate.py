@@ -379,6 +379,28 @@ def test_tac_accidental_rate_formula():
     assert abs(got - expected) < 4.0 * math.sqrt(expected)
 
 
+def test_end_to_end_accidentals_from_darks_and_background():
+    # No pairs: every coincidence is an accidental between independent
+    # Poisson streams, N1 * N2 * window / T.  A start that arrives while the
+    # converter waits for its stop is swallowed; that loses a fraction
+    # R1 * (stop_delay + window / 2) of about 2e-3 of the starts, under a
+    # tenth of the 5 sigma bound.
+    cfg = BenchConfig(
+        pair_rate_hz=0.0,
+        det1=DetectorParams(eta=0.45, dead_time_ns=0.0, dark_rate_hz=2.0e5),
+        det2=DetectorParams(eta=0.40, dead_time_ns=0.0, dark_rate_hz=1.0e5),
+        background_rate_hz=1.0e5,
+    )
+    duration_s = 10.0
+    res = run_klyshko_experiment(cfg, duration_s, 41)
+    busy_fraction = cfg.det1.dark_rate_hz * (cfg.tac.stop_delay_ns + cfg.tac.window_ns / 2) * 1e-9
+    assert busy_fraction < 2.5e-3
+    expected = (
+        res.singles_trigger * res.singles_analyzer * cfg.tac.window_ns * 1e-9 / duration_s
+    )
+    assert abs(res.coincidences - expected) < 5.0 * math.sqrt(expected)
+
+
 # ---------------------------------------------------------------------------
 # klyshko runs
 

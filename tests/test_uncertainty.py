@@ -43,6 +43,13 @@ def test_uncertain_input_validation():
         UncertainInput("x", 1.0, -0.1)
     with pytest.raises(ValueError, match="distribution"):
         UncertainInput("x", 1.0, 0.1, "triangular")
+    non_finite = [(math.nan, 0.1), (math.inf, 0.1), (-math.inf, 0.1), (1.0, math.nan), (1.0, math.inf)]
+    for value, std_dev in non_finite:
+        with pytest.raises(ValueError, match="finite"):
+            UncertainInput("x", value, std_dev)
+    for value, half_width in [(9.3, math.nan), (9.3, math.inf), (math.nan, 0.5)]:
+        with pytest.raises(ValueError, match="finite"):
+            UncertainInput.rectangular("t_ns", value, half_width)
 
 
 def test_rectangular_half_width_conversion():
