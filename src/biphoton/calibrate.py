@@ -22,6 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 _NS_TO_S = 1.0e-9
+# Largest count fit_theta_curve accepts.  Its delta-method gradient divides by
+# amplitude * modulation depth, about counts**2, which overflows near 1.3e154.
+MAX_FIT_COUNTS = 1.0e100
 
 
 class CalibrationError(ValueError):
@@ -208,7 +211,7 @@ def fit_theta_curve(points) -> FitResult:
     no convergence failures.  Weights are 1/counts with the observed counts
     (floored at one event) standing in for the Poisson variance; parameter
     standard errors come from the inverse normal matrix, and u(m) follows by
-    the delta method.
+    the delta method.  Counts above ``MAX_FIT_COUNTS`` raise FitError.
     """
     pts = [(float(t), float(y)) for t, y in points]
     if len(pts) < 4:
@@ -221,6 +224,8 @@ def fit_theta_curve(points) -> FitResult:
         raise FitError("points must span at least 90 degrees")
     if np.any(y < 0):
         raise FitError("negative counts")
+    if np.any(y > MAX_FIT_COUNTS):
+        raise FitError(f"counts above {MAX_FIT_COUNTS:.0e} are out of range")
 
     two_theta = np.radians(2.0 * theta)
     design = np.column_stack([np.ones_like(theta), np.cos(two_theta), np.sin(two_theta)])

@@ -32,6 +32,9 @@ KRAUS_ATOL = 1e-10
 MIN_CONDITION_PROBABILITY = 1e-15
 
 STATE_KINDS = ("psi_plus", "phi_minus_45", "mixed_hv")
+_PAULI = tuple(  # sigma_x, sigma_y, sigma_z
+    np.array(m, dtype=complex) for m in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
+)
 
 
 class ImpossibleOutcomeError(ValueError):
@@ -62,25 +65,25 @@ def _check_density(m: np.ndarray, dim: int, label: str) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class PolarizationDensity:
+class _Density:
+    """Density matrix of dimension ``_dim``, checked and made read-only when built."""
+
+    matrix: np.ndarray
+    _dim = 2
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _immutable(self.matrix))
+        _check_density(self.matrix, self._dim, type(self).__name__)
+
+
+class PolarizationDensity(_Density):
     """Single-photon polarization density matrix in the {|H>, |V>} basis."""
 
-    matrix: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _immutable(self.matrix))
-        _check_density(self.matrix, 2, "PolarizationDensity")
-
-
-@dataclass(frozen=True, eq=False)
-class JointDensity:
+class JointDensity(_Density):
     """Two-photon density matrix, basis order {|HH>, |HV>, |VH>, |VV>}."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _immutable(self.matrix))
-        _check_density(self.matrix, 4, "JointDensity")
+    _dim = 4
 
 
 @dataclass(frozen=True)
@@ -252,15 +255,7 @@ def depolarizer(q: float) -> PolarizationChannel:
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"depolarizer strength q = {q} outside [0, 1]")
     p = 1.0 - q
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    ops = (
-        math.sqrt(1.0 - 3.0 * p / 4.0) * np.eye(2),
-        math.sqrt(p / 4.0) * sx,
-        math.sqrt(p / 4.0) * sy,
-        math.sqrt(p / 4.0) * sz,
-    )
+    ops = (math.sqrt(1.0 - 3.0 * p / 4.0) * np.eye(2), *(math.sqrt(p / 4.0) * s for s in _PAULI))
     return PolarizationChannel(ops)
 
 

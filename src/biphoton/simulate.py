@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +50,12 @@ CHANNELS = ("trigger", "analyzer")
 ORIGINS = ("pair", "dark", "background")
 
 _NS_PER_S = 1.0e9
+# At about 42 bytes per pair, a run of this many expected events peaks near 2 GiB.
+MAX_EXPECTED_EVENTS = 5.0e7
+
+
+class RunTooLargeError(ValueError):
+    """A run would expect more than MAX_EXPECTED_EVENTS pair, dark and background events."""
 
 
 class DetectionRecord(NamedTuple):
@@ -282,6 +289,13 @@ def _pair_stream(
     """Seeded generator of one run and the sorted emission times of its pairs."""
     if not 0.0 <= duration_s < math.inf:
         raise ValueError(f"duration_s must be finite and >= 0, got {duration_s!r}")
+    expected = duration_s * (
+        cfg.pair_rate_hz + cfg.det1.dark_rate_hz + cfg.det2.dark_rate_hz + cfg.background_rate_hz
+    )
+    if expected > MAX_EXPECTED_EVENTS:
+        raise RunTooLargeError(
+            f"the run expects {expected:.3g} events, more than the limit of {MAX_EXPECTED_EVENTS:.3g}"
+        )
     rng = np.random.default_rng(seed)
     return rng, _poisson_stream(rng, cfg.pair_rate_hz, duration_s)
 
@@ -391,40 +405,41 @@ def _result(
 # experiments
 
 
-def _idler_group_states(cfg: BenchConfig) -> tuple[list[PolarizationDensity], float]:
-    """Pre-analyzer idler states for the groups (perp, copol, copol+pulse).
+@lru_cache(maxsize=1)
+def _trigger_conditioned(source_kind: str, state_visibility: float, trigger_angle_deg: float):
+    """(p_pass, rho_perp, rho_copol): the trigger-pass probability (transmittance
+    excluded) and the idler state behind a blocked and a passed trigger photon."""
+    joint = make_state(source_kind, state_visibility)
+    p_pass, rho_copol = conditional_state(joint, Projector(trigger_angle_deg), arm=1)
+    _, rho_perp = conditional_state(joint, Projector(trigger_angle_deg + 90.0), arm=1)
+    return p_pass, rho_perp, rho_copol
 
-    Also returns the trigger-pass probability (transmittance excluded).
-    The pulse amplitude sampled by the idler is constant within a run, so
-    the rotation angle is amplitude * rotation_angle_deg for every pulsed
-    pair; the bernoulli_identity success branch is folded in as an exact
-    mixture.
+
+@lru_cache(maxsize=1)
+def _group_states(trigger: tuple, phi: float, failure_model: str, q: float, p_ok: float):
+    """Idler states of the groups (perp, copol, copol rotated by phi) and p_pass; the
+    bernoulli_identity success branch (probability p_ok) is an exact mixture."""
+    p_pass, rho_perp, rho_copol = _trigger_conditioned(*trigger)
+    rotated = apply_channel(rho_copol, rotator(phi))
+    if failure_model == "uniform_depolarizer":
+        depol = depolarizer(q)
+        return tuple(apply_channel(rho, depol) for rho in (rho_perp, rho_copol, rotated)), p_pass
+    mixed = p_ok * rotated.matrix + (1.0 - p_ok) * rho_copol.matrix
+    return (rho_perp, rho_copol, PolarizationDensity(mixed)), p_pass
+
+
+def _idler_group_states(cfg: BenchConfig) -> tuple[tuple[PolarizationDensity, ...], float]:
+    """Pre-analyzer idler group states of one run and the trigger-pass probability.
+
+    Every pulsed pair is rotated by the one pulse amplitude the idler samples
+    times rotation_angle_deg.  The one-entry memos rebuild states only when
+    an input changes.  Keys that differ only as 0.0 and -0.0 share an entry:
+    the states then differ only in the sign of a zero entry, which no count sees.
     """
-    joint = make_state(cfg.source_kind, cfg.state_visibility)
-    axis = cfg.trigger_projector.angle_deg
-    p_pass, rho_copol = conditional_state(joint, Projector(axis), arm=1)
-    _, rho_perp = conditional_state(joint, Projector(axis + 90.0), arm=1)
-
-    phi = cfg.pulse_amplitude_at_idler() * cfg.pockels.rotation_angle_deg
-
-    def transformed(rho: PolarizationDensity, pulsed: bool) -> PolarizationDensity:
-        if cfg.pockels.failure_model == "uniform_depolarizer":
-            out = apply_channel(rho, rotator(phi)) if pulsed else rho
-            return apply_channel(out, depolarizer(cfg.pockels.q))
-        if not pulsed:
-            return rho
-        p_ok = cfg.pockels.success_probability
-        rotated = apply_channel(rho, rotator(phi))
-        return PolarizationDensity(
-            p_ok * rotated.matrix + (1.0 - p_ok) * rho.matrix
-        )
-
-    groups = [
-        transformed(rho_perp, False),
-        transformed(rho_copol, False),
-        transformed(rho_copol, True),
-    ]
-    return groups, p_pass
+    p = cfg.pockels
+    trigger = (cfg.source_kind, cfg.state_visibility, cfg.trigger_projector.angle_deg)
+    phi = cfg.pulse_amplitude_at_idler() * p.rotation_angle_deg
+    return _group_states(trigger, phi, p.failure_model, p.q, p.success_probability)
 
 
 def run_conditional_experiment(
@@ -447,18 +462,10 @@ def run_conditional_experiment(
     n_pairs = len(t_pairs)
 
     group_states, p_pass = _idler_group_states(cfg)
-    ana = cfg.analyzer
-    ana_proj = ana.matrix()
-    p_detect2 = np.array(
-        [
-            cfg.idler_path_loss
-            * ana.transmittance
-            * (ana_proj @ s.matrix).trace().real
-            * cfg.det2.eta
-            for s in group_states
-        ]
+    ana_proj, gain = cfg.analyzer.matrix(), cfg.idler_path_loss * cfg.analyzer.transmittance
+    p_detect2 = np.clip(
+        [gain * (ana_proj @ s.matrix).trace().real * cfg.det2.eta for s in group_states], 0.0, 1.0
     )
-    p_detect2 = np.clip(p_detect2, 0.0, 1.0)
 
     # trigger arm: each detection is tagged with its pair's index, -1 for a dark
     copol = rng.random(n_pairs) < p_pass
@@ -490,9 +497,7 @@ def run_conditional_experiment(
         (backgr, 2),
     )
     trigger = (t_det1, np.where(pair_det1 < 0, 1, 0))
-    return _result(
-        cfg, duration_s, seed, trigger, analyzer, idler_offset_ns, keep_records
-    )
+    return _result(cfg, duration_s, seed, trigger, analyzer, idler_offset_ns, keep_records)
 
 
 def run_klyshko_experiment(

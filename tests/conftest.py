@@ -5,7 +5,8 @@ branch enumeration builds its states with raw numpy kron/reshape calls and
 applies the depolarizer as a direct convex mixture, so closure tests compare
 two genuinely different computations.  The engine's vectorized dead-time,
 driver-gate and TAC passes and its column event-CSV writer are checked
-against the plain event loops below.
+against the plain event loops below, and its memoized idler states against
+the unmemoized per-run construction they replace.
 """
 
 from __future__ import annotations
@@ -126,6 +127,53 @@ def enumerate_conditional_rates(
         "nc_h": rate(0.0, True),
         "nc_v": rate(90.0, True),
     }
+
+
+def idler_group_states_reference(cfg):
+    """Pre-analyzer idler states for the groups (perp, copol, copol+pulse).
+
+    Also returns the trigger-pass probability (transmittance excluded).
+    The pulse amplitude sampled by the idler is constant within a run, so
+    the rotation angle is amplitude * rotation_angle_deg for every pulsed
+    pair; the bernoulli_identity success branch is folded in as an exact
+    mixture.  Every state is built afresh on each call, through the
+    ``biphoton.polarization`` functions rather than the engine's names.
+    """
+    from biphoton.polarization import (
+        PolarizationDensity,
+        Projector,
+        apply_channel,
+        conditional_state,
+        depolarizer,
+        make_state,
+        rotator,
+    )
+
+    joint = make_state(cfg.source_kind, cfg.state_visibility)
+    axis = cfg.trigger_projector.angle_deg
+    p_pass, rho_copol = conditional_state(joint, Projector(axis), arm=1)
+    _, rho_perp = conditional_state(joint, Projector(axis + 90.0), arm=1)
+
+    phi = cfg.pulse_amplitude_at_idler() * cfg.pockels.rotation_angle_deg
+
+    def transformed(rho, pulsed):
+        if cfg.pockels.failure_model == "uniform_depolarizer":
+            out = apply_channel(rho, rotator(phi)) if pulsed else rho
+            return apply_channel(out, depolarizer(cfg.pockels.q))
+        if not pulsed:
+            return rho
+        p_ok = cfg.pockels.success_probability
+        rotated = apply_channel(rho, rotator(phi))
+        return PolarizationDensity(
+            p_ok * rotated.matrix + (1.0 - p_ok) * rho.matrix
+        )
+
+    groups = [
+        transformed(rho_perp, False),
+        transformed(rho_copol, False),
+        transformed(rho_copol, True),
+    ]
+    return groups, p_pass
 
 
 def dead_time_reference(times, dead_ns: float) -> np.ndarray:

@@ -12,6 +12,7 @@ from biphoton.calibrate import (
     CalibrationError,
     CountSummary,
     Estimate,
+    MAX_FIT_COUNTS,
     FitError,
     KlyshkoCounts,
     apply_polarizer_correction,
@@ -277,6 +278,16 @@ def test_fit_input_validation():
             fit_theta_curve([(0.0, 10.0), (45.0, bad), (90.0, 12.0), (135.0, 11.0)])
         with pytest.raises(FitError, match="finite"):
             fit_theta_curve([(0.0, 10.0), (bad, 11.0), (90.0, 12.0), (135.0, 11.0)])
+
+
+def test_fit_rejects_counts_above_the_bound():
+    # the delta-method gradient overflowed here with a RuntimeWarning
+    with pytest.raises(FitError, match="out of range"):
+        fit_theta_curve([(0.0, 5e299), (45.0, 1e300), (90.0, 2e300), (135.0, 1e300)])
+    top = MAX_FIT_COUNTS
+    fit = fit_theta_curve([(0.0, 0.25 * top), (45.0, 0.625 * top), (90.0, top), (135.0, 0.625 * top)])
+    assert fit.modulation == pytest.approx(0.6, rel=1e-12)
+    assert math.isfinite(fit.u_modulation) and fit.u_modulation > 0.0
 
 
 def test_fit_poisson_coverage():

@@ -119,6 +119,19 @@ def test_simulate_non_finite_config_value_is_usage_error(tmp_path, capsys, line)
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment", ["conditional", "klyshko"])
+def test_simulate_beyond_the_event_bound_is_usage_error(tmp_path, capsys, experiment):
+    path = tmp_path / "huge.cfg"
+    path.write_text("pair_rate_hz=1e12\n")
+    code = main(
+        ["simulate", "--config", str(path), "--duration", "1e6", "--experiment", experiment]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "the run expects 1e+18 events, more than the limit of 5e+07" in captured.err
+    assert captured.out == ""
+
+
 def test_scan_theta_csv(scenario_file, tmp_path):
     out = tmp_path / "scan.csv"
     code = main(
@@ -276,6 +289,7 @@ def test_fit_rejects_headerless_file(tmp_path):
         (["0,100", "45,150", "90,200"], "at least 4 points"),
         (["0,100", "45,nan", "90,200", "135,150"], "finite"),
         (["0,100", "inf,150", "90,200", "135,150"], "finite"),
+        (["0,5e299", "45,1e300", "90,2e300", "135,1e300"], "out of range"),
     ],
 )
 def test_fit_unusable_points_are_usage_error(tmp_path, capsys, rows, message):

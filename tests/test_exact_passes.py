@@ -4,10 +4,14 @@ Dead time, the driver gate and the TAC run as numpy calls with Python only
 over the events that interact, and the event CSV is written from columns in
 one pass; each is compared here with the one-event-at-a-time loop it
 replaces (in ``conftest``).  Times on a coarse grid make ties and exact hits
-on a window edge common.
+on a window edge common.  The memoized idler states are compared with the
+per-run construction they replace in the same way.
 """
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,9 +19,13 @@ from conftest import (
     StreamingDriverGate,
     dead_time_reference,
     event_csv_reference,
+    idler_group_states_reference,
     tac_loop_reference,
     tac_reference,
 )
+from biphoton import simulate
+from biphoton.bench import FAILURE_MODELS, BenchConfig, PockelsParams
+from biphoton.polarization import STATE_KINDS, Projector
 from biphoton.simulate import (
     CHANNELS,
     ORIGINS,
@@ -171,3 +179,84 @@ def test_event_csv_matches_row_writer_across_chunks(tmp_path):
         rng.integers(0, len(ORIGINS), n).tolist(),
     )
     assert_columns_match_rows(list(rows), tmp_path)
+
+
+# idler states: signed zeros, negative angles, and idler delays on the pulse
+# rise, flat top (0 to 55 ns after the default 50 ns fiber delay), fall and
+# after it
+signed_angles = st.one_of(
+    st.sampled_from([0.0, -0.0, 90.0, -90.0, 45.0, -45.0, 180.0]),
+    st.floats(-360.0, 360.0),
+)
+
+
+@st.composite
+def idler_configs(draw):
+    return BenchConfig(
+        source_kind=draw(st.sampled_from(STATE_KINDS)),
+        state_visibility=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+        trigger_projector=Projector(draw(signed_angles), draw(st.sampled_from([1.0, 0.9]))),
+        analyzer=Projector(draw(signed_angles)),
+        pockels=PockelsParams(
+            q=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+            failure_model=draw(st.sampled_from(FAILURE_MODELS)),
+            rotation_angle_deg=draw(signed_angles),
+        ),
+        fiber_delay_ns=draw(st.sampled_from([0.0, 2.5, 50.0])),
+        electronic_delay_ns=draw(
+            st.one_of(st.sampled_from([0.0, 55.0, 2000.0, 3555.0, 3700.0]), st.floats(0.0, 5000.0))
+        ),
+    )
+
+
+def p_detect2(cfg, states):
+    """Per-group idler detection probabilities, as the per-run engine computed them."""
+    ana = cfg.analyzer
+    return np.clip(
+        np.array(
+            [
+                cfg.idler_path_loss
+                * ana.transmittance
+                * (ana.matrix() @ s.matrix).trace().real
+                * cfg.det2.eta
+                for s in states
+            ]
+        ),
+        0.0,
+        1.0,
+    )
+
+
+def counts(res):
+    return res.singles_trigger, res.singles_analyzer, res.coincidences
+
+
+OFF_PULSE = BenchConfig(electronic_delay_ns=4000.0)
+
+
+@settings(max_examples=150)
+@given(st.lists(idler_configs(), min_size=1, max_size=4), st.lists(st.integers(0, 3), max_size=6))
+@example(
+    # off the pulse, rotation angles of 90 and -90 give phi = 0.0 and -0.0, one memo key
+    cfgs=[OFF_PULSE, replace(OFF_PULSE, pockels=PockelsParams(rotation_angle_deg=-90.0))],
+    order=[0, 1, 0],
+)
+@example(
+    cfgs=[BenchConfig(trigger_projector=Projector(0.0)), BenchConfig(trigger_projector=Projector(-0.0))],
+    order=[0, 1],
+)
+def test_memoized_idler_states_equal_the_reference(cfgs, order):
+    # each config is asked for twice in a row, so the second call is a memo hit
+    for cfg in [cfgs[i % len(cfgs)] for i in order] or cfgs:
+        expected, p_expected = idler_group_states_reference(cfg)
+        for _ in range(2):
+            hits = simulate._group_states.cache_info().hits
+            states, p_pass = simulate._idler_group_states(cfg)
+            assert p_pass == p_expected
+            assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(states, expected))
+            assert np.array_equal(p_detect2(cfg, states), p_detect2(cfg, expected))
+        assert simulate._group_states.cache_info().hits == hits + 1
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(simulate, "_idler_group_states", idler_group_states_reference)
+            reference = simulate.run_conditional_experiment(cfg, 0.002, 7)
+        assert counts(simulate.run_conditional_experiment(cfg, 0.002, 7)) == counts(reference)

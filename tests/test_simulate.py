@@ -1,13 +1,16 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import poisson_visibility_sigma, tac_reference
+from conftest import idler_group_states_reference, poisson_visibility_sigma, tac_reference
+from biphoton import simulate
 from biphoton.bench import (
     BenchConfig,
     DetectorParams,
+    PockelsParams,
     TacParams,
     predict_coincidence_visibility,
     predict_singles_rate,
@@ -17,6 +20,7 @@ from biphoton.calibrate import fit_theta_curve, visibility
 from biphoton.polarization import Projector
 from biphoton.simulate import (
     EventRecords,
+    RunTooLargeError,
     driver_gate,
     run_conditional_experiment,
     run_klyshko_experiment,
@@ -38,6 +42,10 @@ def closure_config(eta1=0.45, eta2=0.40, q=1.0, **kwargs) -> BenchConfig:
         pockels=replace(base.pockels, q=q),
         **kwargs,
     )
+
+
+def counts(res):
+    return res.singles_trigger, res.singles_analyzer, res.coincidences
 
 
 def run_hv(cfg, duration_s, seed):
@@ -80,6 +88,31 @@ def test_zero_duration_and_zero_rate_give_zero_counts():
         run_klyshko_experiment(replace(cfg, pair_rate_hz=0.0), 5.0, 1),
     ):
         assert res.singles_trigger == res.singles_analyzer == res.coincidences == 0
+
+
+@pytest.mark.parametrize("run", [run_conditional_experiment, run_klyshko_experiment])
+def test_run_beyond_the_event_bound_is_refused_before_any_draw(run, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew events for a refused run")
+
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "_poisson_stream", no_draw)
+        with pytest.raises(RunTooLargeError, match="more than the limit"):
+            run(BenchConfig(pair_rate_hz=1.0e12), 1.0e6, 0)
+    # pairs, darks on either detector and background all count; a run that
+    # expects exactly the bound goes ahead
+    monkeypatch.setattr(simulate, "MAX_EXPECTED_EVENTS", 1000.0)
+    base = BenchConfig(pair_rate_hz=0.0)
+    for cfg in (
+        replace(base, pair_rate_hz=1000.0),
+        replace(base, det1=replace(base.det1, dark_rate_hz=1000.0)),
+        replace(base, det2=replace(base.det2, dark_rate_hz=1000.0)),
+        replace(base, background_rate_hz=1000.0),
+    ):
+        res = run(cfg, 1.0, 0)
+        assert res.singles_trigger + res.singles_analyzer > 0
+        with pytest.raises(RunTooLargeError):
+            run(cfg, 1.001, 0)
 
 
 def test_result_echoes_config_and_seed():
@@ -507,6 +540,58 @@ def test_scan_delay_tracks_pulse_tail():
     assert rows[0].singles_v > 1.5 * rows[0].singles_h
     late = rows[-1]
     assert abs(late.singles_v - late.singles_h) < 4.0 * math.sqrt(late.singles_v + late.singles_h)
+
+
+def counted_calls(monkeypatch, *names):
+    """Count calls of the engine's polarization functions, starting from empty memos."""
+    calls = Counter()
+    for name in names:
+        real = getattr(simulate, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(simulate, name, counting)
+    simulate._trigger_conditioned.cache_clear()
+    simulate._group_states.cache_clear()
+    return calls
+
+
+def test_scans_build_each_idler_state_once(monkeypatch):
+    cfg = closure_config()
+    calls = counted_calls(monkeypatch, "make_state", "rotator")
+    scan_theta(cfg, np.arange(0.0, 181.0, 10.0), 0.01, 1)
+    assert calls == {"make_state": 1, "rotator": 1}
+    # 0 and 2000 ns give two rotation angles, 3700 and 4000 ns, both after
+    # the pulse, share phi = 0; H and V at one delay share theirs
+    calls = counted_calls(monkeypatch, "make_state", "rotator")
+    scan_delay(cfg, [0.0, 2000.0, 3700.0, 4000.0], 0.01, 1)
+    assert calls == {"make_state": 1, "rotator": 3}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"state_visibility": 0.6},
+        {"source_kind": "psi_plus", "trigger_projector": Projector(45.0)},
+        {"trigger_projector": Projector(45.0)},
+        {"pockels": PockelsParams(q=0.8)},
+        {"pockels": PockelsParams(q=0.3, failure_model="bernoulli_identity")},
+        {"pockels": PockelsParams(q=0.3, rotation_angle_deg=45.0)},
+        {"electronic_delay_ns": 2000.0},
+    ],
+)
+def test_idler_states_follow_a_changed_input(change):
+    cfg = closure_config(q=0.3)
+    changed = replace(cfg, **change)
+    before = counts(run_conditional_experiment(cfg, 0.5, 5))
+    after = counts(run_conditional_experiment(changed, 0.5, 5))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(simulate, "_idler_group_states", idler_group_states_reference)
+        assert counts(run_conditional_experiment(changed, 0.5, 5)) == after
+        assert counts(run_conditional_experiment(cfg, 0.5, 5)) == before
+    assert after != before
 
 
 def test_write_event_csv_format(tmp_path):
