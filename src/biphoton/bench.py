@@ -257,20 +257,9 @@ def predict_singles_rate(cfg: BenchConfig, theta_deg: float) -> float:
             "use the Monte Carlo engine"
         )
     sign = _trigger_sign(cfg)
-    _require_flat_top(cfg)
-    scale = (
-        cfg.pair_rate_hz
-        * cfg.idler_path_loss
-        * cfg.det2.eta
-        * cfg.analyzer.transmittance
-        / 2.0
-    )
-    m = (
-        cfg.det1.eta
-        * cfg.trigger_projector.transmittance
-        * cfg.state_visibility
-        * cfg.pockels.q
-    )
+    # the heralding contrast of an H or V trigger is exactly 1.0
+    m = predict_singles_visibility(cfg)
+    scale = cfg.pair_rate_hz * cfg.idler_path_loss * cfg.det2.eta * cfg.analyzer.transmittance / 2.0
     return scale * (1.0 + sign * m * math.cos(math.radians(2.0 * theta_deg)))
 
 

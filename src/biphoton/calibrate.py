@@ -108,8 +108,8 @@ class FitResult:
 def visibility(n_max: float, n_min: float) -> float:
     """(n_max - n_min) / (n_max + n_min); negative if the inputs are swapped."""
     total = n_max + n_min
-    if total <= 0:
-        raise CalibrationError("visibility undefined: n_max + n_min must be > 0")
+    if not 0 < total < math.inf:
+        raise CalibrationError("visibility undefined: n_max + n_min must be > 0 and finite")
     return (n_max - n_min) / total
 
 
@@ -128,7 +128,11 @@ def eta_conditional(c: CountSummary) -> Estimate:
         raise CalibrationError("uncalibratable: zero Pockels contrast")
     if c.n_v + c.n_h == 0:
         raise CalibrationError("eta_conditional: zero singles rates")
-    return Estimate(conditional_estimator(c.n_h, c.n_v, c.nc_h, c.nc_v))
+    value = conditional_estimator(c.n_h, c.n_v, c.nc_h, c.nc_v)
+    # an overflowing singles sum gives a finite but wrong 0
+    if not (math.isfinite(value) and c.n_v + c.n_h < math.inf):
+        raise CalibrationError("eta_conditional: rates out of floating-point range")
+    return Estimate(value)
 
 
 def conditional_estimator(n_h, n_v, nc_h, nc_v):
@@ -232,7 +236,8 @@ def fit_theta_curve(points) -> FitResult:
     w = 1.0 / np.maximum(y, 1.0)
     normal = design.T @ (design * w[:, None])
     rhs = design.T @ (w * y)
-    if np.linalg.matrix_rank(normal) < 3 or np.linalg.cond(normal) > 1e12:
+    # a rank below 3 gives cond >= 1/(3 eps), about 1.5e15
+    if np.linalg.cond(normal) > 1e12:
         raise FitError("rank-deficient design (angles too degenerate)")
     beta = np.linalg.solve(normal, rhs)
     cov = np.linalg.inv(normal)

@@ -34,7 +34,6 @@ from .calibrate import (
     fit_theta_curve,
     visibility,
 )
-from .polarization import Projector
 from .scenario import load_config, parse_counts
 from .simulate import (
     run_conditional_experiment,
@@ -90,16 +89,20 @@ def _require(counts: dict, keys, where: str) -> None:
         raise ConfigError(f"{where}: missing keys {', '.join(missing)}")
 
 
-def _read_counts(path: str, cls, extra_keys):
-    """Build ``cls`` from a counts file; also return every value read.
+def _read_counts(path: str, cls, budget_keys):
+    """Build ``cls`` from a counts file; also return its budget values, or None.
 
-    The file may set the fields of ``cls`` and ``extra_keys``; each field
-    without a default is required.
+    The file may set the fields of ``cls`` and ``budget_keys``; each field
+    without a default is required, and the budget keys are all or none.
     """
     names = [f.name for f in fields(cls)]
-    counts = parse_counts(_read_text(path), names + list(extra_keys))
+    counts = parse_counts(_read_text(path), names + list(budget_keys))
     _require(counts, [f.name for f in fields(cls) if f.default is MISSING], path)
-    return cls(**{name: counts[name] for name in names if name in counts}), counts
+    budget = None
+    if any(k in counts for k in budget_keys):
+        _require(counts, budget_keys, f"{path} (budget keys are all or none)")
+        budget = [counts[k] for k in budget_keys]
+    return cls(**{name: counts[name] for name in names if name in counts}), budget
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +148,7 @@ def _cmd_scan(args) -> int:
 
 
 def _calibrate_conditional(args) -> tuple[str, Budget | None]:
-    u_keys = ("u_n_h", "u_n_v", "u_nc_h", "u_nc_v")
-    summary, counts = _read_counts(args.counts, CountSummary, u_keys)
+    summary, u = _read_counts(args.counts, CountSummary, ("u_n_h", "u_n_v", "u_nc_h", "u_nc_v"))
     if args.background:
         bg = parse_counts(_read_text(args.background), ("background_h", "background_v"))
         _require(bg, ("background_h", "background_v"), args.background)
@@ -158,13 +160,13 @@ def _calibrate_conditional(args) -> tuple[str, Budget | None]:
 
     estimate = eta_conditional(summary)
     budget = None
-    if all(k in counts for k in u_keys):
+    if u is not None:
         budget = budget_conditional(
             [
-                UncertainInput("n_h", summary.n_h, counts["u_n_h"]),
-                UncertainInput("n_v", summary.n_v, counts["u_n_v"]),
-                UncertainInput("nc_h", summary.nc_h, counts["u_nc_h"]),
-                UncertainInput("nc_v", summary.nc_v, counts["u_nc_v"]),
+                UncertainInput("n_h", summary.n_h, u[0]),
+                UncertainInput("n_v", summary.n_v, u[1]),
+                UncertainInput("nc_h", summary.nc_h, u[2]),
+                UncertainInput("nc_v", summary.nc_v, u[3]),
             ]
         )
         estimate = replace(estimate, u=budget.combined_u)
@@ -188,17 +190,21 @@ def _calibrate_conditional(args) -> tuple[str, Budget | None]:
 
 
 def _calibrate_klyshko(args) -> tuple[str, Budget | None]:
-    u_keys = ("u_n_idler", "u_n_coincidence", "u_n_signal", "t_half_width_ns")
-    k, counts = _read_counts(args.counts, KlyshkoCounts, u_keys)
+    stray = [f"--{name}" for name in ("epsilon", "background") if getattr(args, name) is not None]
+    if stray:
+        raise ConfigError(f"{' and '.join(stray)}: only for --scheme conditional")
+    k, u = _read_counts(
+        args.counts, KlyshkoCounts, ("u_n_idler", "u_n_coincidence", "u_n_signal", "t_half_width_ns")
+    )
     estimate = eta_klyshko(k)
     budget = None
-    if all(key in counts for key in u_keys):
+    if u is not None:
         budget = budget_klyshko(
             [
-                UncertainInput("n_idler", k.n_idler, counts["u_n_idler"]),
-                UncertainInput("n_coincidence", k.n_coincidence, counts["u_n_coincidence"]),
-                UncertainInput("n_signal", k.n_signal, counts["u_n_signal"]),
-                UncertainInput.rectangular("t_ns", k.t_ns, counts["t_half_width_ns"]),
+                UncertainInput("n_idler", k.n_idler, u[0]),
+                UncertainInput("n_coincidence", k.n_coincidence, u[1]),
+                UncertainInput("n_signal", k.n_signal, u[2]),
+                UncertainInput.rectangular("t_ns", k.t_ns, u[3]),
             ],
             tau_ns=k.tau_ns,
         )
@@ -217,10 +223,18 @@ def _calibrate_klyshko(args) -> tuple[str, Budget | None]:
 
 
 def _cmd_calibrate(args) -> int:
-    if args.scheme == "conditional":
-        text, budget = _calibrate_conditional(args)
-    else:
-        text, budget = _calibrate_klyshko(args)
+    calibrate = _calibrate_conditional if args.scheme == "conditional" else _calibrate_klyshko
+    try:
+        text, budget = calibrate(args)
+        # eta_conditional refuses a non-finite value and eta_klyshko is at most
+        # 1/(gamma alpha), but a budget can still overflow
+        finite = budget is None or all(
+            map(math.isfinite, [budget.combined_u, *(r.sensitivity for r in budget.rows)])
+        )
+    except ArithmeticError:  # a square or a quotient of the counts left the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{args.counts}: these counts give no finite estimate and budget")
     sys.stdout.write(text)
     if args.out:
         if budget is None:
@@ -260,41 +274,28 @@ def _cmd_fit(args) -> int:
 
 def _cmd_selftest(args) -> int:
     seed = _resolve_seed(args.seed)
-    checks: list[tuple[str, float, bool]] = []
+    # (name, value, limit): a check passes when value < limit
+    checks: list[tuple[str, float, float]] = []
 
-    cfg = BenchConfig(
-        pair_rate_hz=2.0e4,
-        det1=replace(BenchConfig().det1, eta=0.45),
-        det2=replace(BenchConfig().det2, eta=0.40),
-        pockels=replace(BenchConfig().pockels, q=0.832),
-    )
-    duration = 6.0
-    res_h = run_conditional_experiment(
-        replace(cfg, analyzer=Projector(0.0)), duration, subseed(seed, 0)
-    )
-    res_v = run_conditional_experiment(
-        replace(cfg, analyzer=Projector(90.0)), duration, subseed(seed, 1)
-    )
+    cfg = BenchConfig(pair_rate_hz=2.0e4, pockels=replace(BenchConfig().pockels, q=0.832))
+    res_h, res_v = scan_theta(cfg, (0.0, 90.0), 6.0, seed)
 
     def vis_sigma(a: float, b: float) -> float:
         # Poisson counts through v = (a - b)/(a + b)
         return 2.0 * math.sqrt(a * b * (a + b)) / (a + b) ** 2
 
-    vis_singles = visibility(res_v.singles_analyzer, res_h.singles_analyzer)
-    sig = vis_sigma(res_v.singles_analyzer, res_h.singles_analyzer)
-    margin = abs(vis_singles - predict_singles_visibility(cfg)) / sig
-    checks.append(("singles visibility vs closed form", margin, margin < 4.0))
+    vis_singles = visibility(res_v.singles, res_h.singles)
+    sig = vis_sigma(res_v.singles, res_h.singles)
+    z = abs(vis_singles - predict_singles_visibility(cfg)) / sig
+    checks.append(("singles visibility vs closed form", z, 4.0))
 
     vis_coinc = visibility(res_v.coincidences, res_h.coincidences)
     sig = vis_sigma(res_v.coincidences, res_h.coincidences)
-    margin = abs(vis_coinc - predict_coincidence_visibility(cfg)) / sig
-    checks.append(("coincidence visibility vs closed form", margin, margin < 4.0))
+    z = abs(vis_coinc - predict_coincidence_visibility(cfg)) / sig
+    checks.append(("coincidence visibility vs closed form", z, 4.0))
 
     summary = CountSummary(
-        n_h=res_h.singles_analyzer,
-        n_v=res_v.singles_analyzer,
-        nc_h=res_h.coincidences,
-        nc_v=res_v.coincidences,
+        n_h=res_h.singles, n_v=res_v.singles, nc_h=res_h.coincidences, nc_v=res_v.coincidences
     )
     budget = budget_conditional(
         [
@@ -304,8 +305,8 @@ def _cmd_selftest(args) -> int:
             UncertainInput("nc_v", summary.nc_v, math.sqrt(summary.nc_v)),
         ]
     )
-    margin = abs(eta_conditional(summary).value - cfg.det1.eta) / budget.combined_u
-    checks.append(("conditional estimator recovers eta1", margin, margin < 4.0))
+    z = abs(eta_conditional(summary).value - cfg.det1.eta) / budget.combined_u
+    checks.append(("conditional estimator recovers eta1", z, 4.0))
 
     kcfg = BenchConfig(
         pair_rate_hz=1.0e5,
@@ -322,19 +323,19 @@ def _cmd_selftest(args) -> int:
     )
     est = eta_klyshko(k)
     sigma = math.sqrt(est.value * (1 - est.value) / kres.singles_analyzer)
-    margin = abs(est.value - kcfg.det1.eta) / sigma
-    checks.append(("klyshko corrected estimator recovers eta", margin, margin < 4.0))
+    z = abs(est.value - kcfg.det1.eta) / sigma
+    checks.append(("klyshko corrected estimator recovers eta", z, 4.0))
 
     mc = monte_carlo_uncertainty("conditional", _reference_inputs(), trials=20_000, seed=seed)
     analytic = budget_conditional(_reference_inputs()).combined_u
-    rel = abs(mc / analytic - 1.0)
-    checks.append(("budget vs Monte Carlo uncertainty", rel / 0.07, rel < 0.07))
+    checks.append(("budget vs Monte Carlo uncertainty", abs(mc / analytic - 1.0), 0.07))
 
     ok = True
-    for name, margin, passed in checks:
+    for name, value, limit in checks:
+        passed = value < limit
         ok &= passed
         sys.stdout.write(
-            f"{'PASS' if passed else 'FAIL'}  {name}  (margin {margin:.2f} of limit)\n"
+            f"{'PASS' if passed else 'FAIL'}  {name}  (margin {value / limit:.2f} of limit)\n"
         )
     return 0 if ok else 1
 

@@ -56,11 +56,12 @@ def _immutable(matrix) -> np.ndarray:
 def _check_density(m: np.ndarray, dim: int, label: str) -> None:
     if m.shape != (dim, dim):
         raise ValueError(f"{label}: expected {dim}x{dim} matrix, got {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
-        raise ValueError(f"{label}: matrix is not Hermitian")
-    if abs(m.trace().real - 1.0) > TRACE_ATOL or abs(m.trace().imag) > TRACE_ATOL:
+    # every test fails on NaN, and a NaN or infinite entry makes m - m^H NaN
+    if not np.max(np.abs(m - m.conj().T)) <= HERMITICITY_ATOL:
+        raise ValueError(f"{label}: matrix is not finite and Hermitian")
+    if not (abs(m.trace().real - 1.0) <= TRACE_ATOL and abs(m.trace().imag) <= TRACE_ATOL):
         raise ValueError(f"{label}: trace is {m.trace()}, expected 1")
-    if np.min(np.linalg.eigvalsh(m)) < -PSD_ATOL:
+    if not np.min(np.linalg.eigvalsh(m)) >= -PSD_ATOL:
         raise ValueError(f"{label}: matrix is not positive semidefinite")
 
 
@@ -96,6 +97,8 @@ class StokesVector:
     s3: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.s0, self.s1, self.s2, self.s3))):
+            raise ValueError(f"StokesVector: {self} has a non-finite component")
         if self.s0 < 0:
             raise ValueError(f"StokesVector: s0 = {self.s0} must be >= 0")
         pol2 = self.s1**2 + self.s2**2 + self.s3**2
@@ -120,7 +123,7 @@ class PolarizationChannel:
             raise ValueError("PolarizationChannel: no Kraus operators")
         object.__setattr__(self, "kraus", ops)
         total = sum(k.conj().T @ k for k in ops)
-        if np.max(np.abs(total - np.eye(2))) > KRAUS_ATOL:
+        if not np.max(np.abs(total - np.eye(2))) <= KRAUS_ATOL:  # False for NaN
             raise ValueError("PolarizationChannel: completeness relation violated")
 
 
@@ -191,28 +194,16 @@ def make_state(kind: str, state_visibility: float = 1.0) -> JointDensity:
     return JointDensity(out)
 
 
-def _partial_trace(m: np.ndarray, keep: int) -> np.ndarray:
-    r = m.reshape(2, 2, 2, 2)
-    if keep == 2:  # trace out photon 1
-        return np.einsum("abac->bc", r)
-    return np.einsum("abcb->ac", r)  # trace out photon 2
+def conditional_state(joint: JointDensity, trigger: Projector) -> tuple[float, PolarizationDensity]:
+    """Project photon 1 onto a polarizer outcome and return photon 2.
 
-
-def conditional_state(
-    joint: JointDensity, trigger: Projector, arm: int = 1
-) -> tuple[float, PolarizationDensity]:
-    """Project one photon onto a polarizer outcome and return the partner.
-
-    Returns ``(probability, state)`` where ``probability`` is the chance the
-    measured photon is transmitted (polarizer transmittance included) and
-    ``state`` is the normalized conditional density matrix of the other
-    photon.  Conditioning on an outcome with probability below
+    Returns ``(probability, state)`` where ``probability`` is the chance
+    photon 1 is transmitted (polarizer transmittance included) and
+    ``state`` is the normalized conditional density matrix of photon 2.
+    Conditioning on an outcome with probability below
     ``MIN_CONDITION_PROBABILITY`` raises :class:`ImpossibleOutcomeError`.
     """
-    if arm not in (1, 2):
-        raise ValueError(f"arm must be 1 or 2, got {arm}")
-    p = trigger.matrix()
-    big = np.kron(p, np.eye(2)) if arm == 1 else np.kron(np.eye(2), p)
+    big = np.kron(trigger.matrix(), np.eye(2))
     projected = big @ joint.matrix @ big
     raw = projected.trace().real
     if raw < MIN_CONDITION_PROBABILITY:
@@ -220,7 +211,7 @@ def conditional_state(
             f"impossible outcome: projection at {trigger.angle_deg} deg has "
             f"probability {raw:.3e}"
         )
-    reduced = _partial_trace(projected, keep=2 if arm == 1 else 1) / raw
+    reduced = np.einsum("abac->bc", projected.reshape(2, 2, 2, 2)) / raw  # trace out photon 1
     return trigger.transmittance * raw, PolarizationDensity(reduced)
 
 

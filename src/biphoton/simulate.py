@@ -245,22 +245,16 @@ def tac_coincidences(
     count = int(np.count_nonzero(matched))
     if not dependent.size:
         return count
-    count -= int(np.count_nonzero(matched[dependent]))
-    # replay each run of dependent starts from the state its head leaves
+    # replay each run of dependent starts from an idle converter, starting at
+    # the independent start just before the run
+    replay = np.union1d(dependent - 1, dependent)
+    count -= int(np.count_nonzero(matched[replay]))
     prev = -2
     for i, t, t_hi, f in zip(
-        dependent.tolist(),
-        starts[dependent].tolist(),
-        hi[dependent].tolist(),
-        first[dependent].tolist(),
+        replay.tolist(), starts[replay].tolist(), hi[replay].tolist(), first[replay].tolist()
     ):
         if i != prev + 1:
-            j = int(first[i - 1])
-            if matched[i - 1]:
-                busy_until = max(float(starts[i - 1]), float(stops[j]))
-                j += 1
-            else:
-                busy_until = float(hi[i - 1])
+            busy_until, j = -math.inf, f
         prev = i
         if t < busy_until:
             continue
@@ -307,7 +301,7 @@ def _merge_streams(
 
     A tag is one integer for the whole stream or an array with one per event.
     """
-    times = np.concatenate([t for t, _ in streams]) if streams else np.empty(0)
+    times = np.concatenate([t for t, _ in streams])
     tags = np.concatenate(
         [np.full(len(t), tag, dtype=np.int64) for t, tag in streams]
     )
@@ -410,8 +404,8 @@ def _trigger_conditioned(source_kind: str, state_visibility: float, trigger_angl
     """(p_pass, rho_perp, rho_copol): the trigger-pass probability (transmittance
     excluded) and the idler state behind a blocked and a passed trigger photon."""
     joint = make_state(source_kind, state_visibility)
-    p_pass, rho_copol = conditional_state(joint, Projector(trigger_angle_deg), arm=1)
-    _, rho_perp = conditional_state(joint, Projector(trigger_angle_deg + 90.0), arm=1)
+    p_pass, rho_copol = conditional_state(joint, Projector(trigger_angle_deg))
+    _, rho_perp = conditional_state(joint, Projector(trigger_angle_deg + 90.0))
     return p_pass, rho_perp, rho_copol
 
 

@@ -151,8 +151,8 @@ def idler_group_states_reference(cfg):
 
     joint = make_state(cfg.source_kind, cfg.state_visibility)
     axis = cfg.trigger_projector.angle_deg
-    p_pass, rho_copol = conditional_state(joint, Projector(axis), arm=1)
-    _, rho_perp = conditional_state(joint, Projector(axis + 90.0), arm=1)
+    p_pass, rho_copol = conditional_state(joint, Projector(axis))
+    _, rho_perp = conditional_state(joint, Projector(axis + 90.0))
 
     phi = cfg.pulse_amplitude_at_idler() * cfg.pockels.rotation_angle_deg
 

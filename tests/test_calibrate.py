@@ -63,6 +63,14 @@ def test_eta_conditional_zero_contrast_raises():
         eta_conditional(CountSummary(10.0, 20.0, 5.0, 5.0))
 
 
+def test_sums_beyond_float_range_are_refused():
+    with pytest.raises(CalibrationError, match="finite"):
+        visibility(1.7e308, 1e308)
+    for counts in ((76.6, 165.9, 1e308, 1.7e308), (1e308, 1.7e308, 4.4, 48.7)):
+        with pytest.raises(CalibrationError, match="floating-point range"):
+            eta_conditional(CountSummary(*counts))
+
+
 @pytest.mark.parametrize("k", [0.1, 3.0, 1e4])
 def test_eta_conditional_scale_invariant(k):
     scaled = CountSummary(

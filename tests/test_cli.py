@@ -1,5 +1,6 @@
 import pytest
 
+from biphoton import cli
 from biphoton.cli import main
 from biphoton.scenario import render_config
 from biphoton.bench import BenchConfig
@@ -256,6 +257,61 @@ def test_calibrate_non_finite_count_is_usage_error(tmp_path, capsys, scheme, lin
     assert "nan" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "scheme, budget_row, missing",
+    [
+        ("conditional", "u_n_h=4.2", "u_n_v, u_nc_h, u_nc_v"),
+        ("klyshko", "t_half_width_ns=0.5", "u_n_idler, u_n_coincidence, u_n_signal"),
+    ],
+)
+def test_calibrate_partial_budget_keys_are_usage_error(tmp_path, capsys, scheme, budget_row, missing):
+    text = REFERENCE_COUNTS if scheme == "conditional" else KLYSHKO_COUNTS
+    kept = [row for row in text.splitlines() if not row.startswith(("u_", "t_half_width_ns"))]
+    counts = tmp_path / "counts.txt"
+    counts.write_text("\n".join(kept + [budget_row]) + "\n")
+    code = main(["calibrate", "--scheme", scheme, "--counts", str(counts)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {counts} (budget keys are all or none): missing keys {missing}\n"
+    assert captured.out == ""
+
+
+def test_calibrate_klyshko_rejects_conditional_only_flags(tmp_path, capsys):
+    counts = tmp_path / "k.txt"
+    counts.write_text(KLYSHKO_COUNTS)
+    code = main(
+        ["calibrate", "--scheme", "klyshko", "--counts", str(counts),
+         "--epsilon", "0.5", "--background", str(tmp_path / "nonexistent")]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --epsilon and --background: only for --scheme conditional\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "scheme, rows",
+    [
+        ("conditional", ["nc_h=1e308", "nc_v=1.7e308"]),  # the estimate overflows
+        ("conditional", ["n_h=1e308", "n_v=1.7e308"]),  # the singles sum overflows
+        ("conditional", ["nc_h=1e-300", "nc_v=2e-300"]),  # (nc_v - nc_h)**2 underflows
+        ("klyshko", ["n_idler=1e-310", "n_coincidence=1e-310"]),  # a sensitivity overflows
+    ],
+)
+def test_calibrate_counts_beyond_float_range_are_usage_error(tmp_path, capsys, scheme, rows):
+    text = REFERENCE_COUNTS if scheme == "conditional" else KLYSHKO_COUNTS
+    replaced = {row.split("=")[0] for row in rows}
+    kept = [row for row in text.splitlines() if row.split("=")[0] not in replaced]
+    counts = tmp_path / "counts.txt"
+    counts.write_text("\n".join(kept + rows) + "\n")
+    code = main(["calibrate", "--scheme", scheme, "--counts", str(counts)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_calibrate_missing_file(tmp_path):
     assert main(
         ["calibrate", "--scheme", "conditional", "--counts", str(tmp_path / "none.txt")]
@@ -306,3 +362,16 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 5
     assert "FAIL" not in out
+
+
+def test_selftest_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "predict_singles_visibility", lambda cfg: 0.0)
+    assert main(["selftest", "--seed", "0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  ")[:2] for line in lines if line.startswith("FAIL")] == [
+        ["FAIL", "singles visibility vs closed form"]
+    ]
+    # every margin is a fraction of its limit: below 1.00 exactly when the check passes
+    for line in lines:
+        margin = float(line.split("(margin ")[1].split()[0])
+        assert (margin >= 1.0) == line.startswith("FAIL")
