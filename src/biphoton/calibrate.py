@@ -77,9 +77,10 @@ class KlyshkoCounts:
             raise CalibrationError(
                 "KlyshkoCounts: coincidences exceed a singles rate"
             )
-        if self.n_signal * self.tau_ns * _NS_TO_S >= 1.0:
+        gamma, alpha = klyshko_corrections(self.n_signal, self.tau_ns, self.t_ns)
+        if not gamma > 0.0:
             raise CalibrationError("KlyshkoCounts: n_signal * tau must be < 1")
-        if self.n_signal * self.t_ns * _NS_TO_S >= 1.0:
+        if not alpha > 0.0:
             raise CalibrationError("KlyshkoCounts: n_signal * T must be < 1")
 
 
@@ -144,7 +145,10 @@ def apply_polarizer_correction(e: Estimate, epsilon: float) -> Estimate:
     """Remove the trigger polarizer transmittance: value and u scaled by 1/epsilon."""
     if not 0.0 < epsilon <= 1.0:
         raise CalibrationError(f"polarizer transmittance {epsilon} outside (0, 1]")
-    return Estimate(e.value / epsilon, e.u / epsilon)
+    value, u = e.value / epsilon, e.u / epsilon
+    if not (math.isfinite(value) and math.isfinite(u)):
+        raise CalibrationError(f"eta / epsilon out of range for epsilon = {epsilon:g}")
+    return Estimate(value, u)
 
 
 def background_subtract(c: CountSummary) -> CountSummary:
@@ -185,9 +189,8 @@ def drift_rescale(
 def eta_klyshko(k: KlyshkoCounts) -> Estimate:
     """Efficiency of the device under test from the direct coincidence scheme.
 
-    eta = N_c / (N_i * gamma * alpha), with gamma = 1 - N_s * tau the dead
-    time correction and alpha = 1 - N_s * T the stop-delay correction, both
-    built from the observed rate on the device under test.  The corrections
+    eta = N_c / (N_i * gamma * alpha), with gamma and alpha the dead-time and
+    stop-delay corrections of :func:`klyshko_corrections`.  The corrections
     divide the denominator multiplicatively, which reproduces the expected
     sensitivity signs for N_i and N_c.
     """
@@ -198,10 +201,14 @@ def eta_klyshko(k: KlyshkoCounts) -> Estimate:
     )
 
 
+def klyshko_corrections(n_signal, tau_ns, t_ns):
+    """Dead-time and stop-delay corrections (1 - N_s tau, 1 - N_s T); scalars or arrays."""
+    return 1.0 - n_signal * tau_ns * _NS_TO_S, 1.0 - n_signal * t_ns * _NS_TO_S
+
+
 def klyshko_estimator(n_idler, n_coincidence, n_signal, t_ns, tau_ns):
     """The direct-calibration estimator's formula; takes scalars or arrays, checks nothing."""
-    gamma = 1.0 - n_signal * tau_ns * _NS_TO_S
-    alpha = 1.0 - n_signal * t_ns * _NS_TO_S
+    gamma, alpha = klyshko_corrections(n_signal, tau_ns, t_ns)
     return n_coincidence / (n_idler * gamma * alpha)
 
 

@@ -20,11 +20,13 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Callable
 
 from .bench import BenchConfig, ConfigError, predict_coincidence_visibility, predict_singles_visibility
 from .calibrate import (
     CountSummary,
+    Estimate,
     FitError,
     KlyshkoCounts,
     apply_polarizer_correction,
@@ -43,7 +45,6 @@ from .simulate import (
     subseed,
 )
 from .uncertainty import (
-    Budget,
     UncertainInput,
     budget_conditional,
     budget_csv,
@@ -147,100 +148,96 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _calibrate_conditional(args) -> tuple[str, Budget | None]:
-    summary, u = _read_counts(args.counts, CountSummary, ("u_n_h", "u_n_v", "u_nc_h", "u_nc_v"))
-    if args.background:
-        bg = parse_counts(_read_text(args.background), ("background_h", "background_v"))
-        _require(bg, ("background_h", "background_v"), args.background)
-        summary = replace(
-            summary, background_h=bg["background_h"], background_v=bg["background_v"]
-        )
-    if summary.background_h or summary.background_v:
-        summary = background_subtract(summary)
-
-    estimate = eta_conditional(summary)
-    budget = None
-    if u is not None:
-        budget = budget_conditional(
-            [
-                UncertainInput("n_h", summary.n_h, u[0]),
-                UncertainInput("n_v", summary.n_v, u[1]),
-                UncertainInput("nc_h", summary.nc_h, u[2]),
-                UncertainInput("nc_v", summary.nc_v, u[3]),
-            ]
-        )
-        estimate = replace(estimate, u=budget.combined_u)
-
-    out = [
-        f"singles visibility    = {visibility(summary.n_v, summary.n_h):.6g}",
-        f"coincidence visibility = {visibility(summary.nc_v, summary.nc_h):.6g}",
-        f"eta (conditional)     = {estimate.value:.6g}"
-        + (f" +- {estimate.u:.3g}" if estimate.u else ""),
-    ]
-    if args.epsilon is not None:
-        corrected = apply_polarizer_correction(estimate, args.epsilon)
-        out.append(
-            f"eta / epsilon({args.epsilon:g}) = {corrected.value:.6g}"
-            + (f" +- {corrected.u:.3g}" if corrected.u else "")
-        )
-    if budget is not None:
-        out.append("")
-        out.append(format_budget(budget))
-    return "\n".join(out) + "\n", budget
+_CONDITIONAL_INPUTS = ("n_h", "n_v", "nc_h", "nc_v")  # in budget_conditional's order
 
 
-def _calibrate_klyshko(args) -> tuple[str, Budget | None]:
-    stray = [f"--{name}" for name in ("epsilon", "background") if getattr(args, name) is not None]
-    if stray:
-        raise ConfigError(f"{' and '.join(stray)}: only for --scheme conditional")
-    k, u = _read_counts(
-        args.counts, KlyshkoCounts, ("u_n_idler", "u_n_coincidence", "u_n_signal", "t_half_width_ns")
-    )
-    estimate = eta_klyshko(k)
-    budget = None
-    if u is not None:
-        budget = budget_klyshko(
-            [
-                UncertainInput("n_idler", k.n_idler, u[0]),
-                UncertainInput("n_coincidence", k.n_coincidence, u[1]),
-                UncertainInput("n_signal", k.n_signal, u[2]),
-                UncertainInput.rectangular("t_ns", k.t_ns, u[3]),
-            ],
+def _rows(counts, names, u) -> list[UncertainInput]:
+    """Gaussian budget inputs: the ``names`` fields of ``counts``, standard deviations ``u``."""
+    return [UncertainInput(n, getattr(counts, n), s) for n, s in zip(names, u)]
+
+
+def _subtract_background(c: CountSummary, path: str | None) -> CountSummary:
+    """Subtract the background of the ``--background`` file, else of the counts file."""
+    if path:
+        bg = parse_counts(_read_text(path), ("background_h", "background_v"))
+        _require(bg, ("background_h", "background_v"), path)
+        c = replace(c, **bg)
+    return background_subtract(c)
+
+
+@dataclass(frozen=True)
+class _Scheme:
+    """What one calibration scheme adds to the shared ``calibrate`` body."""
+
+    counts: type
+    budget_keys: tuple[str, ...]
+    budget: Callable  # (counts, budget key values) -> Budget
+    estimate: Callable  # counts -> Estimate
+    label: str  # of the estimate line
+    preface: Callable  # counts -> (label, value) lines printed before the estimate
+    subtract_background: Callable  # (counts, --background path) -> counts
+
+
+_SCHEMES = {
+    "conditional": _Scheme(
+        counts=CountSummary,
+        budget_keys=("u_n_h", "u_n_v", "u_nc_h", "u_nc_v"),
+        budget=lambda c, u: budget_conditional(_rows(c, _CONDITIONAL_INPUTS, u)),
+        estimate=eta_conditional,
+        label="eta (conditional)    ",
+        preface=lambda c: [
+            ("singles visibility   ", visibility(c.n_v, c.n_h)),
+            ("coincidence visibility", visibility(c.nc_v, c.nc_h)),
+        ],
+        subtract_background=_subtract_background,
+    ),
+    "klyshko": _Scheme(
+        counts=KlyshkoCounts,
+        budget_keys=("u_n_idler", "u_n_coincidence", "u_n_signal", "t_half_width_ns"),
+        budget=lambda k, u: budget_klyshko(  # T is rectangular, of half-width u[3]
+            _rows(k, ("n_idler", "n_coincidence", "n_signal"), u)
+            + [UncertainInput.rectangular("t_ns", k.t_ns, u[3])],
             tau_ns=k.tau_ns,
-        )
-        estimate = replace(estimate, u=budget.combined_u)
-
-    raw = k.n_coincidence / k.n_idler
-    out = [
-        f"eta uncorrected = {raw:.6g}",
-        f"eta (klyshko)   = {estimate.value:.6g}"
-        + (f" +- {estimate.u:.3g}" if estimate.u else ""),
-    ]
-    if budget is not None:
-        out.append("")
-        out.append(format_budget(budget))
-    return "\n".join(out) + "\n", budget
+        ),
+        estimate=eta_klyshko,
+        label="eta (klyshko)  ",
+        preface=lambda k: [("eta uncorrected", k.n_coincidence / k.n_idler)],
+        subtract_background=lambda k, path: k,  # a Klyshko counts file has no background keys
+    ),
+}
 
 
 def _cmd_calibrate(args) -> int:
-    calibrate = _calibrate_conditional if args.scheme == "conditional" else _calibrate_klyshko
+    scheme = _SCHEMES[args.scheme]
+    stray = [f"--{n}" for n in ("epsilon", "background") if getattr(args, n) is not None]
+    if stray and args.scheme != "conditional":
+        raise ConfigError(f"{' and '.join(stray)}: only for --scheme conditional")
+    counts, u = _read_counts(args.counts, scheme.counts, scheme.budget_keys)
+    counts = scheme.subtract_background(counts, args.background)
+    if args.out and u is None:
+        raise ConfigError("--out needs a full budget; add the u_* keys to the counts file")
     try:
-        text, budget = calibrate(args)
-        # eta_conditional refuses a non-finite value and eta_klyshko is at most
-        # 1/(gamma alpha), but a budget can still overflow
-        finite = budget is None or all(
-            map(math.isfinite, [budget.combined_u, *(r.sensitivity for r in budget.rows)])
-        )
+        estimate = scheme.estimate(counts)
+        budget = None if u is None else scheme.budget(counts, u)
+        if budget is not None:
+            estimate = replace(estimate, u=budget.combined_u)
+        lines = [(label, Estimate(v)) for label, v in scheme.preface(counts)]
+        lines.append((scheme.label, estimate))
+        if args.epsilon is not None:
+            corrected = apply_polarizer_correction(estimate, args.epsilon)
+            lines.append((f"eta / epsilon({args.epsilon:g})", corrected))
+        # the estimate line holds the budget's estimate and combined u, and a
+        # non-finite sensitivity or contribution makes combined u non-finite
+        finite = all(math.isfinite(x) for _, e in lines for x in (e.value, e.u))
     except ArithmeticError:  # a square or a quotient of the counts left the float range
         finite = False
     if not finite:
         raise ConfigError(f"{args.counts}: these counts give no finite estimate and budget")
-    sys.stdout.write(text)
+    text = [f"{label} = {e.value:.6g}" + (f" +- {e.u:.3g}" if e.u else "") for label, e in lines]
+    if budget is not None:
+        text += ["", format_budget(budget)]
+    sys.stdout.write("\n".join(text) + "\n")
     if args.out:
-        if budget is None:
-            raise ConfigError(
-                "--out needs a full budget; add the u_* keys to the counts file"
-            )
         _write_text(args.out, budget_csv(budget))
     return 0
 
@@ -297,14 +294,8 @@ def _cmd_selftest(args) -> int:
     summary = CountSummary(
         n_h=res_h.singles, n_v=res_v.singles, nc_h=res_h.coincidences, nc_v=res_v.coincidences
     )
-    budget = budget_conditional(
-        [
-            UncertainInput("n_h", summary.n_h, math.sqrt(summary.n_h)),
-            UncertainInput("n_v", summary.n_v, math.sqrt(summary.n_v)),
-            UncertainInput("nc_h", summary.nc_h, math.sqrt(summary.nc_h)),
-            UncertainInput("nc_v", summary.nc_v, math.sqrt(summary.nc_v)),
-        ]
-    )
+    poisson = [math.sqrt(getattr(summary, n)) for n in _CONDITIONAL_INPUTS]
+    budget = budget_conditional(_rows(summary, _CONDITIONAL_INPUTS, poisson))
     z = abs(eta_conditional(summary).value - cfg.det1.eta) / budget.combined_u
     checks.append(("conditional estimator recovers eta1", z, 4.0))
 
@@ -342,12 +333,8 @@ def _cmd_selftest(args) -> int:
 
 def _reference_inputs() -> list[UncertainInput]:
     # bundled example budget used by the self-test
-    return [
-        UncertainInput("n_h", 76.6, 4.2),
-        UncertainInput("n_v", 165.9, 5.7),
-        UncertainInput("nc_h", 4.4, 1.6),
-        UncertainInput("nc_v", 48.7, 2.6),
-    ]
+    reference = CountSummary(76.6, 165.9, 4.4, 48.7)
+    return _rows(reference, _CONDITIONAL_INPUTS, (4.2, 5.7, 1.6, 2.6))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("calibrate", help="estimate efficiency from a counts file")
-    p.add_argument("--scheme", choices=("conditional", "klyshko"), required=True)
+    p.add_argument("--scheme", choices=tuple(_SCHEMES), required=True)
     p.add_argument("--counts", required=True, help="counts file (key=value)")
     p.add_argument("--epsilon", type=float, default=None, help="trigger polarizer transmittance")
     p.add_argument("--background", default=None, help="background counts file")

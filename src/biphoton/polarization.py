@@ -56,9 +56,11 @@ def _immutable(matrix) -> np.ndarray:
 def _check_density(m: np.ndarray, dim: int, label: str) -> None:
     if m.shape != (dim, dim):
         raise ValueError(f"{label}: expected {dim}x{dim} matrix, got {m.shape}")
-    # every test fails on NaN, and a NaN or infinite entry makes m - m^H NaN
+    # checked first: numpy warns on the inf - inf of an infinite entry in m - m^H
+    if not np.isfinite(m).all():
+        raise ValueError(f"{label}: matrix has a non-finite entry")
     if not np.max(np.abs(m - m.conj().T)) <= HERMITICITY_ATOL:
-        raise ValueError(f"{label}: matrix is not finite and Hermitian")
+        raise ValueError(f"{label}: matrix is not Hermitian")
     if not (abs(m.trace().real - 1.0) <= TRACE_ATOL and abs(m.trace().imag) <= TRACE_ATOL):
         raise ValueError(f"{label}: trace is {m.trace()}, expected 1")
     if not np.min(np.linalg.eigvalsh(m)) >= -PSD_ATOL:
@@ -101,8 +103,11 @@ class StokesVector:
             raise ValueError(f"StokesVector: {self} has a non-finite component")
         if self.s0 < 0:
             raise ValueError(f"StokesVector: s0 = {self.s0} must be >= 0")
-        pol2 = self.s1**2 + self.s2**2 + self.s3**2
-        if pol2 > self.s0**2 * (1.0 + 1e-9):
+        try:
+            overpolarized = self.s1**2 + self.s2**2 + self.s3**2 > self.s0**2 * (1.0 + 1e-9)
+        except OverflowError:
+            raise ValueError(f"StokesVector: {self} squares out of floating-point range") from None
+        if overpolarized:
             raise ValueError("StokesVector: |s| exceeds s0 (overpolarized)")
 
 
@@ -122,7 +127,10 @@ class PolarizationChannel:
         if not ops:
             raise ValueError("PolarizationChannel: no Kraus operators")
         object.__setattr__(self, "kraus", ops)
-        total = sum(k.conj().T @ k for k in ops)
+        # an infinite entry makes the sum NaN or inf, which fails the test below,
+        # and numpy warns on its way there (inf * 0 in the matmul)
+        with np.errstate(invalid="ignore", over="ignore"):
+            total = sum(k.conj().T @ k for k in ops)
         if not np.max(np.abs(total - np.eye(2))) <= KRAUS_ATOL:  # False for NaN
             raise ValueError("PolarizationChannel: completeness relation violated")
 

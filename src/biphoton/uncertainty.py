@@ -26,15 +26,15 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .calibrate import (
+    _NS_TO_S,
     CountSummary,
     KlyshkoCounts,
     conditional_estimator,
     eta_conditional,
     eta_klyshko,
+    klyshko_corrections,
     klyshko_estimator,
 )
-
-_NS_TO_S = 1.0e-9
 
 DISTRIBUTIONS = ("gaussian", "rectangular")
 
@@ -138,15 +138,12 @@ def sensitivities_klyshko(k: KlyshkoCounts) -> tuple[float, float, float, float]
     Returns (d/dN_i, d/dN_c, d/dN_s, d/dT) with the T derivative expressed
     per nanosecond, matching how the stop delay is quoted.
     """
-    tau = k.tau_ns * _NS_TO_S
-    t = k.t_ns * _NS_TO_S
-    gamma = 1.0 - k.n_signal * tau
-    alpha = 1.0 - k.n_signal * t
+    gamma, alpha = klyshko_corrections(k.n_signal, k.tau_ns, k.t_ns)
     eta = eta_klyshko(k).value
     return (
         -eta / k.n_idler,
         eta / k.n_coincidence,
-        eta * (tau / gamma + t / alpha),
+        eta * (k.tau_ns * _NS_TO_S / gamma + k.t_ns * _NS_TO_S / alpha),
         eta * k.n_signal / alpha * _NS_TO_S,
     )
 

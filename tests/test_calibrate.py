@@ -21,6 +21,7 @@ from biphoton.calibrate import (
     eta_conditional,
     eta_klyshko,
     fit_theta_curve,
+    klyshko_corrections,
     visibility,
 )
 from biphoton.polarization import Projector
@@ -114,6 +115,26 @@ def test_polarizer_correction_identity_and_boundary():
     assert apply_polarizer_correction(e, 0.5).u == pytest.approx(0.1)
     with pytest.raises(CalibrationError):
         apply_polarizer_correction(e, 0.0)
+
+
+@pytest.mark.parametrize(
+    "e, epsilon",
+    [(Estimate(0.5, 0.05), 1e-320), (Estimate(1e300), 1e-10), (Estimate(0.5, 1e300), 1e-10)],
+)
+def test_polarizer_correction_beyond_float_range_is_rejected(e, epsilon):
+    # epsilon is in (0, 1], but value / epsilon or u / epsilon overflows to inf
+    with pytest.raises(CalibrationError, match="epsilon"):
+        apply_polarizer_correction(e, epsilon)
+
+
+def test_klyshko_corrections_bound_the_counts():
+    # KlyshkoCounts accepts exactly the rates whose gamma and alpha are > 0
+    gamma, alpha = klyshko_corrections(1.0e6, 40.0, 9.3)
+    assert (gamma, alpha) == (1.0 - 1.0e6 * 40.0 * 1e-9, 1.0 - 1.0e6 * 9.3 * 1e-9)
+    for tau_ns, t_ns, word in ((40.0, 0.0, "tau"), (0.0, 40.0, "T")):
+        KlyshkoCounts(2.5e7 * (1 - 2**-52), 1.0, 0.5, tau_ns=tau_ns, t_ns=t_ns)
+        with pytest.raises(CalibrationError, match=f"n_signal \\* {word} must be < 1"):
+            KlyshkoCounts(2.5e7, 1.0, 0.5, tau_ns=tau_ns, t_ns=t_ns)
 
 
 def test_background_subtract_arithmetic():

@@ -312,6 +312,61 @@ def test_calibrate_counts_beyond_float_range_are_usage_error(tmp_path, capsys, s
     assert captured.out == ""
 
 
+def _counts_with(tmp_path, scheme: str, rows: list[str], drop=()) -> str:
+    """A counts file of the reference counts of ``scheme``, with ``rows`` set
+    and every key that starts with one of ``drop`` removed."""
+    text = REFERENCE_COUNTS if scheme == "conditional" else KLYSHKO_COUNTS
+    replaced = {row.split("=")[0] for row in rows}
+    kept = [
+        row for row in text.splitlines()
+        if row.split("=")[0] not in replaced and not row.startswith(tuple(drop))
+    ]
+    path = tmp_path / "counts.txt"
+    path.write_text("\n".join(kept + rows) + "\n")
+    return str(path)
+
+
+# one case per calibrate usage error that README lists:
+# (scheme, counts rows set, key prefixes dropped, extra flags, part of the error line)
+CALIBRATE_USAGE_ERRORS = {
+    "partial budget keys": ("conditional", ["u_n_h=4.2"], ("u_",), [], "all or none"),
+    "partial Klyshko budget keys": ("klyshko", [], ("t_half",), [], "all or none"),
+    "klyshko with --epsilon": ("klyshko", [], (), ["--epsilon", "0.9"], "only for"),
+    "klyshko with --background": ("klyshko", [], (), ["--background", "bg.txt"], "only for"),
+    "--out without budget": ("conditional", [], ("u_",), ["--out", "budget.csv"], "--out"),
+    "--out without Klyshko budget": (
+        "klyshko", [], ("u_", "t_half"), ["--out", "budget.csv"], "--out"
+    ),
+    "estimate overflows": ("conditional", ["nc_h=1e308", "nc_v=1.7e308"], (), [], "out of"),
+    "budget overflows": (
+        "klyshko", ["n_idler=1e-310", "n_coincidence=1e-310"], (), [], "no finite"
+    ),
+    "epsilon overflows": (
+        "conditional", [], (), ["--epsilon", "1e-320"],
+        "eta / epsilon out of range for epsilon = 9.99989e-321",
+    ),
+    "epsilon overflows, no budget": (
+        "conditional", [], ("u_",), ["--epsilon", "1e-320"], "epsilon = 9.99989e-321"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CALIBRATE_USAGE_ERRORS))
+def test_calibrate_usage_errors_keep_the_exit_contract(tmp_path, capsys, monkeypatch, case):
+    # exit 2, one error line on stderr, nothing on stdout and no budget file
+    scheme, rows, drop, flags, message = CALIBRATE_USAGE_ERRORS[case]
+    monkeypatch.chdir(tmp_path)
+    counts = _counts_with(tmp_path, scheme, rows, drop)
+    code = main(["calibrate", "--scheme", scheme, "--counts", counts, *flags])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not (tmp_path / "budget.csv").exists()
+
+
 def test_calibrate_missing_file(tmp_path):
     assert main(
         ["calibrate", "--scheme", "conditional", "--counts", str(tmp_path / "none.txt")]

@@ -1,9 +1,10 @@
 """The CLI writes exactly what it wrote when its digests were recorded.
 
-Each case runs ``biphoton`` in-process on the files in ``demos/data`` and
-pins the sha256 of its standard output and, where it writes one, of its
-``--out`` file.  A change that moves any printed count, estimate, budget
-line or CSV byte fails here and must say why.
+Each case runs ``biphoton`` in-process on the files in ``demos/data``, or
+on counts files derived from them, and pins the sha256 of its standard
+output and, where it writes one, of its ``--out`` file.  A change that
+moves any printed count, estimate, budget line or CSV byte fails here and
+must say why.
 """
 
 import hashlib
@@ -18,7 +19,8 @@ CFG = str(DATA / "bench_calibration.cfg")
 THETAS = ",".join(str(t) for t in range(0, 181, 10))
 
 # argv per case; "{out}" stands for a fresh output file, "{theta_csv}" for
-# the theta scan CSV that the "scan_theta" case writes.
+# the theta scan CSV that the "scan_theta" case writes, and "{conditional}",
+# "{klyshko}" and "{background}" for the derived counts files of _derived_files.
 CASES = {
     "simulate_conditional": ["simulate", "--config", CFG, "--duration", "0.5", "--seed", "1"],
     "simulate_klyshko": [
@@ -41,6 +43,11 @@ CASES = {
         "calibrate", "--scheme", "klyshko", "--counts", str(DATA / "counts_klyshko.txt"),
         "--out", "{out}",
     ],
+    "calibrate_conditional_no_budget": [
+        "calibrate", "--scheme", "conditional", "--counts", "{conditional}",
+        "--background", "{background}", "--epsilon", "0.9842",
+    ],
+    "calibrate_klyshko_no_budget": ["calibrate", "--scheme", "klyshko", "--counts", "{klyshko}"],
     "fit": ["fit", "--points", "{theta_csv}"],
 }
 
@@ -62,6 +69,14 @@ CLI_SHA256 = {
         "1cf6337847ebd05e2345e958b94c663bfcd4fbb6cff106579e929f82a4204294",
         "e9dc31480b2f18a79077a2aefd6cacb78cfb5a236c55228d0d589fdb5c1ccf76",
     ),
+    "calibrate_conditional_no_budget": (
+        "c47e6227dff69a6df5001f803be22a07b2ffc9f2683891ef77c897361002b9df",
+        None,
+    ),
+    "calibrate_klyshko_no_budget": (
+        "2e198311a8449685627abc6073611e0e7a40af4b7947d4374f9a45368db2442e",
+        None,
+    ),
     "fit": ("9d45b23fe0aa6d21d153daeb0f08d3e7f9682d379a3a1f7737bb372447a2e2dc", None),
 }
 
@@ -70,12 +85,32 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _derived_files(tmp_path) -> dict:
+    """The demo counts files without their budget keys, plus a background file.
+
+    The conditional singles are raised by the background rates, so the
+    subtraction gives back the demo singles.
+    """
+    files = {}
+    for scheme, bump in (("conditional", {"n_h": 10.0, "n_v": 12.5}), ("klyshko", {})):
+        rows = []
+        for row in (DATA / f"counts_{scheme}.txt").read_text().splitlines():
+            key, _, value = row.partition("=")
+            if key.startswith(("u_", "t_half_width_ns")):
+                continue
+            rows.append(f"{key}={float(value) + bump[key]!r}" if key in bump else row)
+        files[scheme] = tmp_path / f"counts_{scheme}_no_budget.txt"
+        files[scheme].write_text("\n".join(rows) + "\n")
+    files["background"] = tmp_path / "background.txt"
+    files["background"].write_text("background_h=10\nbackground_v=12.5\n")
+    return files
+
+
 def _run(name, tmp_path, capsys):
     """(stdout, --out file bytes or None) of one case."""
     out = tmp_path / f"{name}.out"
-    argv = [
-        arg.format(out=out, theta_csv=tmp_path / "scan_theta.out") for arg in CASES[name]
-    ]
+    paths = {"out": out, "theta_csv": tmp_path / "scan_theta.out", **_derived_files(tmp_path)}
+    argv = [arg.format(**paths) for arg in CASES[name]]
     assert main(argv) == 0
     stdout = capsys.readouterr().out.encode()
     return stdout, out.read_bytes() if "{out}" in CASES[name] else None

@@ -92,11 +92,17 @@ def test_density_constructors_reject_invalid():
         PolarizationDensity(np.diag([1.5, -0.5]).astype(complex))
     with pytest.raises(ValueError, match="trace"):
         JointDensity(np.eye(4))
-    for bad in (np.diag([np.nan, np.nan]), np.diag([0.5, 0.5 + 1j * np.nan])):
+    for bad in (
+        np.diag([np.nan, np.nan]),
+        np.diag([0.5, 0.5 + 1j * np.nan]),
+        np.diag([np.inf, 0.0]),
+        np.diag([0.5, 0.5 - 1j * np.inf]),
+    ):
         with pytest.raises(ValueError, match="finite"):
             PolarizationDensity(bad.astype(complex))
-    with pytest.raises(ValueError, match="finite"):
-        JointDensity(np.diag([np.nan, 0.0, 0.0, 1.0]).astype(complex))
+    for bad in (np.diag([np.nan, 0.0, 0.0, 1.0]), np.diag([np.inf, 0.0, 0.0, 1.0])):
+        with pytest.raises(ValueError, match="finite"):
+            JointDensity(bad.astype(complex))
 
 
 def test_density_matrices_are_immutable():
@@ -223,6 +229,9 @@ def test_non_cptp_channel_rejected_at_construction():
         PolarizationChannel((np.eye(2) * 0.5,))
     with pytest.raises(ValueError, match="completeness"):
         PolarizationChannel((np.diag([1.0, np.nan]),))
+    for ops in ((np.diag([1.0, np.inf]),), (np.eye(2) / 2, np.diag([np.inf, 0.0]))):
+        with pytest.raises(ValueError, match="completeness"):
+            PolarizationChannel(ops)
     with pytest.raises(ValueError, match="completeness"):
         rotator(math.nan)
 
@@ -269,6 +278,11 @@ def test_stokes_validation():
     for components in ((math.nan, 0.0, 0.0, 0.0), (1.0, math.inf, 0.0, 0.0), (1.0, 0.0, 0.0, math.nan)):
         with pytest.raises(ValueError, match="non-finite"):
             StokesVector(*components)
+    for components in ((1e200, 1e200, 0.0, 0.0), (1e200, 0.0, 0.0, 0.0), (1.0, 0.0, 1e155, 0.0)):
+        with pytest.raises(ValueError, match="out of floating-point range"):
+            StokesVector(*components)
+    # the largest components whose squares stay finite still construct
+    assert StokesVector(1e154, 1e154, 0.0, 0.0).s1 == 1e154
 
 
 def test_degree_of_polarization_examples():
