@@ -21,6 +21,7 @@ functions, so everything here is safe for unrestricted parallel use.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,15 +100,22 @@ class StokesVector:
     s3: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.s0, self.s1, self.s2, self.s3))):
+        components = (self.s0, self.s1, self.s2, self.s3)
+        if not all(map(math.isfinite, components)):
             raise ValueError(f"StokesVector: {self} has a non-finite component")
         if self.s0 < 0:
             raise ValueError(f"StokesVector: s0 = {self.s0} must be >= 0")
         try:
-            overpolarized = self.s1**2 + self.s2**2 + self.s3**2 > self.s0**2 * (1.0 + 1e-9)
+            squares = [c**2 for c in components]
         except OverflowError:
-            raise ValueError(f"StokesVector: {self} squares out of floating-point range") from None
-        if overpolarized:
+            squares = []
+        # a nonzero component whose square is below the smallest normal float
+        # has lost that square's precision, or all of it
+        tiny = sys.float_info.min
+        if not squares or any(c != 0.0 and sq < tiny for c, sq in zip(components, squares)):
+            raise ValueError(f"StokesVector: {self} squares out of floating-point range")
+        s0_sq, s1_sq, s2_sq, s3_sq = squares
+        if s1_sq + s2_sq + s3_sq > s0_sq * (1.0 + 1e-9):
             raise ValueError("StokesVector: |s| exceeds s0 (overpolarized)")
 
 
@@ -263,13 +271,16 @@ def depolarizer(q: float) -> PolarizationChannel:
 
 
 def stokes_from_density(rho: PolarizationDensity) -> StokesVector:
-    """Stokes vector of a (unit-trace) polarization density matrix."""
+    """Stokes vector of a (unit-trace) polarization density matrix.
+
+    A component whose square underflows, below about 1.5e-154, is returned
+    as a zero of its sign: next to s0 = 1 no square can tell it from zero,
+    and :class:`StokesVector` rejects it.
+    """
     m = rho.matrix
+    components = (m.trace().real, (m[0, 0] - m[1, 1]).real, 2.0 * m[0, 1].real, 2.0 * m[0, 1].imag)
     return StokesVector(
-        s0=m.trace().real,
-        s1=(m[0, 0] - m[1, 1]).real,
-        s2=2.0 * m[0, 1].real,
-        s3=2.0 * m[0, 1].imag,
+        *(c if c * c >= sys.float_info.min else math.copysign(0.0, c) for c in components)
     )
 
 

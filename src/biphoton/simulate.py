@@ -189,9 +189,10 @@ def driver_gate(times_ns, rate_threshold_hz: float, disable_duration_s: float) -
         raise ValueError("driver_gate: need rate_threshold_hz > 0 and disable_duration_s >= 0")
     _check_stream("driver_gate: detection stream", t)
     n = len(t)
-    # detections in (t - 1 s, t], the detection itself included
-    in_window = np.arange(1, n + 1) - np.searchsorted(t, t - _NS_PER_S, side="right")
-    over = np.flatnonzero(in_window > rate_threshold_hz)
+    # (t - 1 s, t] holds more than the threshold, i.e. at least back + 1
+    # detections, exactly when the detection ``back`` places back is inside it
+    back = n if rate_threshold_hz >= n else math.floor(rate_threshold_hz)
+    over = back + np.flatnonzero(t[: n - back] > t[back:] - _NS_PER_S)
     disable_ns = disable_duration_s * _NS_PER_S
     fired = np.ones(n, dtype=bool)
     k = 0
@@ -229,10 +230,14 @@ def tac_coincidences(
     if not starts.size or not m:
         return 0
     half = window_ns / 2.0
-    centre = starts + stop_delay_ns
-    lo = centre - half
-    hi = centre + half
-    first = np.searchsorted(stops, lo, side="left")  # first stop >= lo
+    hi = starts + stop_delay_ns  # the window centre, until widened in place
+    lo = hi - half
+    hi += half
+    # first stop >= lo, searched from the stops' side: a stop is below lo[i]
+    # exactly for the i at and after its insertion point in lo, so first[i]
+    # counts the insertion points at or before i
+    first = np.bincount(np.searchsorted(lo, stops, side="right"), minlength=len(lo) + 1)[:-1]
+    np.cumsum(first, out=first)
     # what each start counts when the converter is idle and no earlier stop
     # is taken at or beyond ``first``
     matched = (first < m) & (stops[np.minimum(first, m - 1)] <= hi)
@@ -297,7 +302,7 @@ def _pair_stream(
 def _merge_streams(
     *streams: tuple[np.ndarray, int | np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Merge (times, tag) streams into one time-ordered (times, tags) pair.
+    """Merge time-ordered (times, tag) streams into one time-ordered (times, tags) pair.
 
     A tag is one integer for the whole stream or an array with one per event.
     """
@@ -305,6 +310,8 @@ def _merge_streams(
     tags = np.concatenate(
         [np.full(len(t), tag, dtype=np.int64) for t, tag in streams]
     )
+    if sum(1 for t, _ in streams if len(t)) <= 1:
+        return times, tags  # one stream with events is already in order
     order = np.argsort(times, kind="stable")
     return times[order], tags[order]
 
@@ -463,24 +470,19 @@ def run_conditional_experiment(
 
     # trigger arm: each detection is tagged with its pair's index, -1 for a dark
     copol = rng.random(n_pairs) < p_pass
-    cand1 = copol & (
-        rng.random(n_pairs) < cfg.trigger_projector.transmittance * cfg.det1.eta
+    cand1 = np.flatnonzero(
+        copol & (rng.random(n_pairs) < cfg.trigger_projector.transmittance * cfg.det1.eta)
     )
     dark1 = _poisson_stream(rng, cfg.det1.dark_rate_hz, duration_s)
-    t_det1, pair_det1 = _detect(
-        cfg.det1.dead_time_ns, (t_pairs[cand1], np.flatnonzero(cand1)), (dark1, -1)
-    )
+    t_det1, pair_det1 = _detect(cfg.det1.dead_time_ns, (t_pairs[cand1], cand1), (dark1, -1))
     fired = driver_gate(
         t_det1, cfg.driver.rate_threshold_hz, cfg.driver.disable_duration_s
     )
-    pulsed = np.zeros(n_pairs, dtype=bool)
-    pulsed[pair_det1[fired & (pair_det1 >= 0)]] = True
 
-    # idler arm
-    group = np.zeros(n_pairs, dtype=np.int64)
-    group[copol] = 1
-    group[pulsed] = 2
-    cand2 = rng.random(n_pairs) < p_detect2[group]
+    # idler arm: pulsed pairs are copolarized ones, so their probability goes on last
+    p_pair = np.where(copol, p_detect2[1], p_detect2[0])
+    p_pair[pair_det1[fired & (pair_det1 >= 0)]] = p_detect2[2]
+    cand2 = rng.random(n_pairs) < p_pair
     idler_offset_ns = cfg.fiber_delay_ns + cfg.electronic_delay_ns
     dark2 = _poisson_stream(rng, cfg.det2.dark_rate_hz, duration_s)
     backgr = _poisson_stream(rng, cfg.background_rate_hz, duration_s)

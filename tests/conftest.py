@@ -5,8 +5,9 @@ branch enumeration builds its states with raw numpy kron/reshape calls and
 applies the depolarizer as a direct convex mixture, so closure tests compare
 two genuinely different computations.  The engine's vectorized dead-time,
 driver-gate and TAC passes and its column event-CSV writer are checked
-against the plain event loops below, and its memoized idler states against
-the unmemoized per-run construction they replace.
+against the plain event loops below, its memoized idler states against
+the unmemoized per-run construction they replace, and its conditional run
+body against the per-group body it replaces.
 """
 
 from __future__ import annotations
@@ -269,6 +270,82 @@ def tac_reference(starts, stops, window_ns: float, stop_delay_ns: float) -> int:
             count += 1
             busy_until = max(t, stops[matched])
     return count
+
+
+def idler_detect_probabilities_reference(cfg, states) -> np.ndarray:
+    """Per-group idler detection probabilities of the analyzer and det2."""
+    ana = cfg.analyzer
+    return np.clip(
+        np.array(
+            [
+                cfg.idler_path_loss
+                * ana.transmittance
+                * (ana.matrix() @ s.matrix).trace().real
+                * cfg.det2.eta
+                for s in states
+            ]
+        ),
+        0.0,
+        1.0,
+    )
+
+
+def conditional_run_reference(cfg, duration_s: float, seed: int):
+    """The conditional run with its idler probability looked up per pair group.
+
+    Each pair gets a group index (perp 0, copol 1, pulsed 2) from two boolean
+    scatters, and its idler probability is that group's.  Detection uses a
+    stable sort of the merged streams and :func:`dead_time_reference`, the
+    driver gate is a :class:`StreamingDriverGate` and the coincidences come
+    from :func:`tac_loop_reference`; only the seeded streams are the
+    engine's, so the random draws come in the engine's order.  Returns
+    ``(singles_trigger, singles_analyzer, coincidences)`` and the records.
+    """
+    from biphoton.simulate import EventRecords, _pair_stream, _poisson_stream
+
+    def detect(dead_ns, *streams):
+        times = np.concatenate([t for t, _ in streams])
+        tags = np.concatenate([np.full(len(t), tag, dtype=np.int64) for t, tag in streams])
+        order = np.argsort(times, kind="stable")
+        keep = dead_time_reference(times[order], dead_ns)
+        return times[order][keep], tags[order][keep]
+
+    rng, t_pairs = _pair_stream(cfg, duration_s, seed)
+    n_pairs = len(t_pairs)
+    states, p_pass = idler_group_states_reference(cfg)
+    p_detect2 = idler_detect_probabilities_reference(cfg, states)
+
+    copol = rng.random(n_pairs) < p_pass
+    cand1 = copol & (rng.random(n_pairs) < cfg.trigger_projector.transmittance * cfg.det1.eta)
+    dark1 = _poisson_stream(rng, cfg.det1.dark_rate_hz, duration_s)
+    t1, pair1 = detect(cfg.det1.dead_time_ns, (t_pairs[cand1], np.flatnonzero(cand1)), (dark1, -1))
+    gate = StreamingDriverGate(cfg.driver.rate_threshold_hz, cfg.driver.disable_duration_s)
+    fired = np.array([gate.on_detection(t) for t in t1.tolist()], dtype=bool)
+    pulsed = np.zeros(n_pairs, dtype=bool)
+    pulsed[pair1[fired & (pair1 >= 0)]] = True
+
+    group = np.zeros(n_pairs, dtype=np.int64)
+    group[copol] = 1
+    group[pulsed] = 2
+    cand2 = rng.random(n_pairs) < p_detect2[group]
+    offset = cfg.fiber_delay_ns + cfg.electronic_delay_ns
+    dark2 = _poisson_stream(rng, cfg.det2.dark_rate_hz, duration_s)
+    backgr = _poisson_stream(rng, cfg.background_rate_hz, duration_s)
+    t2, origin2 = detect(
+        cfg.det2.dead_time_ns, (t_pairs[cand2] + offset, 0), (dark2, 1), (backgr, 2)
+    )
+    coincidences = tac_loop_reference(
+        (t1 + offset).tolist(),
+        (t2 + cfg.tac.stop_delay_ns).tolist(),
+        cfg.tac.window_ns,
+        cfg.tac.stop_delay_ns,
+    )
+    records = EventRecords(
+        channel=np.repeat(np.arange(2, dtype=np.int8), [len(t1), len(t2)]),
+        time_ns=np.concatenate([t1, t2]),
+        origin=np.concatenate([np.where(pair1 < 0, 1, 0), origin2]).astype(np.int8),
+    )
+    return (len(t1), len(t2), coincidences), records
 
 
 def event_csv_reference(records, path) -> None:

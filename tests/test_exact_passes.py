@@ -5,9 +5,11 @@ over the events that interact, and the event CSV is written from columns in
 one pass; each is compared here with the one-event-at-a-time loop it
 replaces (in ``conftest``).  Times on a coarse grid make ties and exact hits
 on a window edge common.  The memoized idler states are compared with the
-per-run construction they replace in the same way.
+per-run construction they replace in the same way, and the conditional run,
+records included, with the per-group run body it replaces.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -17,14 +19,16 @@ from hypothesis import strategies as st
 
 from conftest import (
     StreamingDriverGate,
+    conditional_run_reference,
     dead_time_reference,
     event_csv_reference,
+    idler_detect_probabilities_reference,
     idler_group_states_reference,
     tac_loop_reference,
     tac_reference,
 )
 from biphoton import simulate
-from biphoton.bench import FAILURE_MODELS, BenchConfig, PockelsParams
+from biphoton.bench import FAILURE_MODELS, BenchConfig, DetectorParams, DriverPolicy, PockelsParams
 from biphoton.polarization import STATE_KINDS, Projector
 from biphoton.simulate import (
     CHANNELS,
@@ -82,16 +86,26 @@ def test_dead_time_matches_loop_on_chains_of_every_length(stream):
     assert _dead_time_filter(kept, dead_ns).all()
 
 
-@settings(max_examples=300)
+@settings(max_examples=400)
 @given(
     grid_times(120, 100, 1.0e8),
-    st.integers(1, 6),
+    st.data(),
     st.sampled_from([0.0, 0.05, 0.3, 1.0, 2.5]),
 )
-def test_driver_gate_matches_streaming_gate(times, limit, disable_s):
-    gate = StreamingDriverGate(float(limit), disable_s)
+def test_driver_gate_matches_streaming_gate(times, data, disable_s):
+    # integer and fractional limits, limits next to, at and above the number
+    # of detections, and no limit at all
+    n = len(times)
+    limit = data.draw(
+        st.one_of(
+            st.integers(1, 6).map(float),
+            st.sampled_from([0.5, 2.5, 3.7, math.inf]),
+            st.sampled_from([n - 1.0, n - 0.5, float(n), n + 0.5, n + 1.0]).filter(lambda x: x > 0),
+        )
+    )
+    gate = StreamingDriverGate(limit, disable_s)
     expected = [gate.on_detection(t) for t in times.tolist()]
-    assert driver_gate(times, float(limit), disable_s).tolist() == expected
+    assert driver_gate(times, limit, disable_s).tolist() == expected
 
 
 def test_driver_gate_walks_several_disable_episodes():
@@ -125,12 +139,28 @@ def test_tac_matches_loops_for_any_stop_delay(starts, stops, window_ns, stop_del
 
 def test_tac_matches_loop_on_dense_random_streams():
     rng = np.random.default_rng(11)
-    for window_ns, stop_delay_ns in ((4.0, 9.3), (20.0, -15.0), (8.0, 0.0), (2.0, 50.0)):
-        starts = np.sort(rng.uniform(0.0, 2.0e5, 20_000))
-        stops = np.sort(np.concatenate([starts[::2] + stop_delay_ns, rng.uniform(0.0, 2.0e5, 15_000)]))
-        got = tac_coincidences(starts, stops, window_ns, stop_delay_ns)
-        assert got == tac_loop_reference(starts.tolist(), stops.tolist(), window_ns, stop_delay_ns)
-        assert got > 0
+    # (starts, stops taken from starts[::step], further random stops): about
+    # 5:4 as at the bench, then stops outnumbering starts 10:1, and the reverse
+    for n_starts, step, n_random in ((20_000, 2, 15_000), (2_000, 1, 18_000), (20_000, 20, 1_000)):
+        for window_ns, stop_delay_ns in ((4.0, 9.3), (20.0, -15.0), (8.0, 0.0), (2.0, 50.0)):
+            starts = np.sort(rng.uniform(0.0, 2.0e5, n_starts))
+            stops = np.sort(
+                np.concatenate([starts[::step] + stop_delay_ns, rng.uniform(0.0, 2.0e5, n_random)])
+            )
+            got = tac_coincidences(starts, stops, window_ns, stop_delay_ns)
+            assert got == tac_loop_reference(starts.tolist(), stops.tolist(), window_ns, stop_delay_ns)
+            assert got > 0
+
+
+def test_tac_with_every_stop_outside_every_window():
+    # the stops-side search puts a stop below every lo in bin 0 and one above
+    # every hi in bin len(lo)
+    starts = np.arange(50) * 3.0
+    below, above = starts - 1.0e3, starts + 1.0e3
+    for stops in (below, above, np.concatenate([below, above])):
+        for stop_delay_ns in (0.0, 9.3):
+            got = tac_coincidences(starts, stops, 4.0, stop_delay_ns)
+            assert got == tac_loop_reference(starts.tolist(), stops.tolist(), 4.0, stop_delay_ns) == 0
 
 
 # times whose repr takes every form: 0.0, integer-valued, below 1e-4 and from
@@ -209,24 +239,6 @@ def idler_configs(draw):
     )
 
 
-def p_detect2(cfg, states):
-    """Per-group idler detection probabilities, as the per-run engine computed them."""
-    ana = cfg.analyzer
-    return np.clip(
-        np.array(
-            [
-                cfg.idler_path_loss
-                * ana.transmittance
-                * (ana.matrix() @ s.matrix).trace().real
-                * cfg.det2.eta
-                for s in states
-            ]
-        ),
-        0.0,
-        1.0,
-    )
-
-
 def counts(res):
     return res.singles_trigger, res.singles_analyzer, res.coincidences
 
@@ -254,9 +266,56 @@ def test_memoized_idler_states_equal_the_reference(cfgs, order):
             states, p_pass = simulate._idler_group_states(cfg)
             assert p_pass == p_expected
             assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(states, expected))
-            assert np.array_equal(p_detect2(cfg, states), p_detect2(cfg, expected))
+            assert np.array_equal(
+                idler_detect_probabilities_reference(cfg, states),
+                idler_detect_probabilities_reference(cfg, expected),
+            )
         assert simulate._group_states.cache_info().hits == hits + 1
         with pytest.MonkeyPatch.context() as m:
             m.setattr(simulate, "_idler_group_states", idler_group_states_reference)
             reference = simulate.run_conditional_experiment(cfg, 0.002, 7)
         assert counts(simulate.run_conditional_experiment(cfg, 0.002, 7)) == counts(reference)
+
+
+@st.composite
+def conditional_run_configs(draw):
+    """Configs over gate tripping, darks and background, both failure models and
+    idler delays on and off the pulse.
+
+    In the 0.02 s runs below, 3e6 pairs/s gives about 13,000 trigger detections,
+    more than the 10 kHz gate allows in its one-second window; 2e4 and 2e5 do not.
+    """
+    rates = st.sampled_from([0.0, 2.0e4])
+    return BenchConfig(
+        pair_rate_hz=draw(st.sampled_from([2.0e4, 2.0e5, 3.0e6])),
+        source_kind=draw(st.sampled_from(STATE_KINDS)),
+        state_visibility=draw(st.sampled_from([0.7, 1.0])),
+        trigger_projector=Projector(90.0, draw(st.sampled_from([1.0, 0.9]))),
+        analyzer=Projector(draw(st.sampled_from([0.0, 45.0, 90.0]))),
+        pockels=PockelsParams(
+            q=draw(st.sampled_from([0.832, 1.0])),
+            failure_model=draw(st.sampled_from(FAILURE_MODELS)),
+        ),
+        electronic_delay_ns=draw(st.sampled_from([0.0, 55.0, 2000.0, 4000.0])),
+        driver=DriverPolicy(disable_duration_s=draw(st.sampled_from([0.0, 0.004, 1.0]))),
+        det1=DetectorParams(
+            eta=0.45, dead_time_ns=draw(st.sampled_from([0.0, 40.0])), dark_rate_hz=draw(rates)
+        ),
+        det2=DetectorParams(eta=0.4, dead_time_ns=40.0, dark_rate_hz=draw(rates)),
+        background_rate_hz=draw(rates),
+    )
+
+
+@settings(max_examples=60)
+@given(conditional_run_configs(), st.integers(0, 2**32))
+@example(cfg=BenchConfig(pair_rate_hz=3.0e6, driver=DriverPolicy(disable_duration_s=0.004)), seed=1)
+@example(
+    # fired dark trigger clicks, whose pair index -1 must not pulse the last pair
+    cfg=BenchConfig(pair_rate_hz=2.0e4, det1=DetectorParams(eta=0.45, dead_time_ns=40.0, dark_rate_hz=2.0e4)),
+    seed=2,
+)
+def test_conditional_run_matches_the_group_reference(cfg, seed):
+    res = simulate.run_conditional_experiment(cfg, 0.02, seed, keep_records=True)
+    expected_counts, expected_records = conditional_run_reference(cfg, 0.02, seed)
+    assert counts(res) == expected_counts
+    assert res.records == expected_records

@@ -281,8 +281,17 @@ def test_stokes_validation():
     for components in ((1e200, 1e200, 0.0, 0.0), (1e200, 0.0, 0.0, 0.0), (1.0, 0.0, 1e155, 0.0)):
         with pytest.raises(ValueError, match="out of floating-point range"):
             StokesVector(*components)
+    # squares that underflow: here both are 0, which would make P = 0 where it is 2
+    for components in ((1e-200, 0.0, 0.0, 2e-200), (0.0, 1e-200, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="out of floating-point range"):
+            StokesVector(*components)
     # the largest components whose squares stay finite still construct
     assert StokesVector(1e154, 1e154, 0.0, 0.0).s1 == 1e154
+    # a valid state with an off-diagonal that small has a Stokes vector all the same
+    rho = apply_channel(PolarizationDensity(np.diag([1.0, 0.0])), rotator(1e-160))
+    assert rho.matrix[0, 1] != 0.0
+    assert stokes_from_density(rho) == StokesVector(1.0, 1.0, 0.0, 0.0)
+    assert von_neumann_entropy(rho) == 0.0
 
 
 def test_degree_of_polarization_examples():
