@@ -17,7 +17,7 @@ Everything here is a pure function over immutable inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -33,6 +33,13 @@ class CalibrationError(ValueError):
 
 class FitError(RuntimeError):
     """Least-squares fit failed (rank deficiency or unusable data)."""
+
+
+def _check_counts(counts) -> None:
+    """Raise CalibrationError unless every field of ``counts`` is finite and >= 0."""
+    for f in fields(counts):
+        if not 0 <= getattr(counts, f.name) < math.inf:
+            raise CalibrationError(f"{type(counts).__name__}: {f.name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -52,9 +59,7 @@ class CountSummary:
     background_v: float = 0.0
 
     def __post_init__(self):
-        for name in ("n_h", "n_v", "nc_h", "nc_v", "background_h", "background_v"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise CalibrationError(f"CountSummary: {name} must be finite and >= 0")
+        _check_counts(self)
 
 
 @dataclass(frozen=True)
@@ -68,11 +73,7 @@ class KlyshkoCounts:
     t_ns: float
 
     def __post_init__(self):
-        rates = (self.n_signal, self.n_idler, self.n_coincidence)
-        if not all(0 <= r < math.inf for r in rates):
-            raise CalibrationError("KlyshkoCounts: rates must be finite and >= 0")
-        if not (0 <= self.tau_ns < math.inf and 0 <= self.t_ns < math.inf):
-            raise CalibrationError("KlyshkoCounts: tau_ns and t_ns must be finite and >= 0")
+        _check_counts(self)
         if self.n_coincidence > min(self.n_signal, self.n_idler):
             raise CalibrationError(
                 "KlyshkoCounts: coincidences exceed a singles rate"
@@ -176,14 +177,7 @@ def drift_rescale(
     if reference_singles <= 0 or observed_singles <= 0:
         raise CalibrationError("drift_rescale: singles references must be > 0")
     k = reference_singles / observed_singles
-    return CountSummary(
-        n_h=c.n_h * k,
-        n_v=c.n_v * k,
-        nc_h=c.nc_h * k,
-        nc_v=c.nc_v * k,
-        background_h=c.background_h * k,
-        background_v=c.background_v * k,
-    )
+    return CountSummary(**{f.name: getattr(c, f.name) * k for f in fields(c)})
 
 
 def eta_klyshko(k: KlyshkoCounts) -> Estimate:

@@ -115,12 +115,8 @@ def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     run = run_klyshko_experiment if args.experiment == "klyshko" else run_conditional_experiment
     res = run(cfg, args.duration, seed)
-    lines = [
-        "singles_trigger,singles_analyzer,coincidences,duration_s,seed",
-        f"{res.singles_trigger},{res.singles_analyzer},{res.coincidences},"
-        f"{res.duration_s!r},{res.seed}",
-    ]
-    _emit(lines, args.out)
+    columns = ("singles_trigger", "singles_analyzer", "coincidences", "duration_s", "seed")
+    _emit([",".join(columns), ",".join(repr(getattr(res, n)) for n in columns)], args.out)
     return 0
 
 
@@ -133,17 +129,12 @@ def _cmd_scan(args) -> int:
         raise ConfigError(f"--values: {args.values!r} is not a comma-separated number list")
     if not values:
         raise ConfigError("--values: empty list")
-    if args.scan == "theta":
-        rows = scan_theta(cfg, values, args.duration, seed)
-        lines = ["theta_deg,singles,coincidences"]
-        lines += [f"{p.theta_deg!r},{p.singles},{p.coincidences}" for p in rows]
-    else:
-        rows = scan_delay(cfg, values, args.duration, seed)
-        lines = ["delay_ns,singles_h,singles_v,coinc_h,coinc_v"]
-        lines += [
-            f"{p.delay_ns!r},{p.singles_h},{p.singles_v},{p.coinc_h},{p.coinc_v}"
-            for p in rows
-        ]
+    # looked up per call, so that a wrapper put on this module's names takes effect
+    scan = {"theta": scan_theta, "delay": scan_delay}[args.scan]
+    rows = scan(cfg, values, args.duration, seed)
+    names = [f.name for f in fields(rows[0])]  # values is not empty
+    lines = [",".join(names)]
+    lines += [",".join(repr(getattr(p, n)) for n in names) for p in rows]
     _emit(lines, args.out)
     return 0
 

@@ -112,7 +112,7 @@ class EventRecords:
             return NotImplemented
         return all(
             np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("channel", "time_ns", "origin")
+            for name in DetectionRecord._fields
         )
 
 
@@ -582,12 +582,19 @@ def write_event_csv(records: EventRecords, path) -> None:
     """Dump detection records as CSV: header ``channel,time_ns,origin``.
 
     Times are written with Python's float ``repr``, the shortest string that
-    reads back as the same float.
+    reads back as the same float.  A run without ``keep_records=True`` has
+    no records (None); anything but :class:`EventRecords` raises TypeError
+    before ``path`` is opened.
     """
+    if not isinstance(records, EventRecords):
+        raise TypeError(
+            f"write_event_csv: records is {type(records).__name__}, not EventRecords;"
+            " run the experiment with keep_records=True"
+        )
     channel_cells = _CHANNEL_NAMES + ","
     origin_cells = "," + _ORIGIN_NAMES + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write("channel,time_ns,origin\n")
+        fh.write(",".join(DetectionRecord._fields) + "\n")
         for channel, time_ns, origin in records._chunks():
             # row i is cells[3i:3i+3]: "channel,", the time, ",origin\n"
             cells = [""] * (3 * len(time_ns))

@@ -20,13 +20,14 @@ wanted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .calibrate import (
     _NS_TO_S,
+    CalibrationError,
     CountSummary,
     KlyshkoCounts,
     conditional_estimator,
@@ -102,9 +103,12 @@ class Budget:
 
 def poisson_std(rate_hz: float, integration_s: float) -> float:
     """Counting standard deviation of a rate: sqrt(rate / integration time)."""
-    if rate_hz < 0 or integration_s <= 0:
-        raise ValueError("poisson_std: rate >= 0 and integration time > 0 required")
-    return math.sqrt(rate_hz / integration_s)
+    if not (0 <= rate_hz < math.inf and 0 < integration_s < math.inf):
+        raise ValueError("poisson_std: need a finite rate >= 0 and a finite integration time > 0")
+    std = math.sqrt(rate_hz / integration_s)
+    if std == math.inf:
+        raise ValueError("poisson_std: rate / integration time is not finite")
+    return std
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +144,8 @@ def sensitivities_klyshko(k: KlyshkoCounts) -> tuple[float, float, float, float]
     """
     gamma, alpha = klyshko_corrections(k.n_signal, k.tau_ns, k.t_ns)
     eta = eta_klyshko(k).value
+    if k.n_coincidence == 0:
+        raise CalibrationError("sensitivities undefined: zero coincidences (d/dN_c = eta / N_c)")
     return (
         -eta / k.n_idler,
         eta / k.n_coincidence,
@@ -307,11 +313,10 @@ def format_budget(budget: Budget) -> str:
 
 def budget_csv(budget: Budget) -> str:
     """CSV rendering: header, one row per input, then a combined row."""
-    out = ["quantity,value,std_dev,distribution,sensitivity,contribution,note"]
+    names = [f.name for f in fields(BudgetRow)]
+    out = [",".join(names)]
     for r in budget.rows:
-        out.append(
-            f"{r.quantity},{r.value!r},{r.std_dev!r},{r.distribution},"
-            f"{r.sensitivity!r},{r.contribution!r},{r.note}"
-        )
+        cells = (getattr(r, n) for n in names)
+        out.append(",".join(v if isinstance(v, str) else repr(v) for v in cells))
     out.append(f"combined,{budget.estimate!r},{budget.combined_u!r},,,,")
     return "\n".join(out) + "\n"

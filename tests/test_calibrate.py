@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -95,7 +95,7 @@ def test_counts_reject_non_finite_fields(bad):
             CountSummary(**{**conditional, name: bad})
     klyshko = dict(n_signal=100.0, n_idler=10.0, n_coincidence=1.0, tau_ns=0.0, t_ns=0.0)
     for name in klyshko:
-        with pytest.raises(CalibrationError, match="must be finite"):
+        with pytest.raises(CalibrationError, match=f"{name} must be finite"):
             KlyshkoCounts(**{**klyshko, name: bad})
 
 
@@ -209,6 +209,13 @@ def test_drift_rescale_properties():
     back = drift_rescale(drift_rescale(c, 7.0, 3.0), 3.0, 7.0)
     assert back.n_h == pytest.approx(c.n_h, rel=1e-12)
     assert back.nc_v == pytest.approx(c.nc_v, rel=1e-12)
+
+
+def test_drift_rescale_scales_every_field():
+    c = CountSummary(**{f.name: float(i + 1) for i, f in enumerate(fields(CountSummary))})
+    scaled = drift_rescale(c, 5.0, 2.0)
+    for f in fields(CountSummary):
+        assert getattr(scaled, f.name) == getattr(c, f.name) * 2.5, f.name
 
 
 _rates = st.floats(1e-3, 1e7)

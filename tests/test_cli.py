@@ -341,6 +341,9 @@ CALIBRATE_USAGE_ERRORS = {
     "budget overflows": (
         "klyshko", ["n_idler=1e-310", "n_coincidence=1e-310"], (), [], "no finite"
     ),
+    "zero Klyshko coincidences with a budget": (
+        "klyshko", ["n_coincidence=0"], (), [], "zero coincidences"
+    ),
     "epsilon overflows": (
         "conditional", [], (), ["--epsilon", "1e-320"],
         "eta / epsilon out of range for epsilon = 9.99989e-321",

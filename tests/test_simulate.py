@@ -594,6 +594,15 @@ def test_idler_states_follow_a_changed_input(change):
     assert after != before
 
 
+def test_write_event_csv_without_records_leaves_the_file(tmp_path):
+    res = run_conditional_experiment(closure_config(), 0.05, 2)  # no keep_records
+    path = tmp_path / "events.csv"
+    path.write_text("kept\n")
+    with pytest.raises(TypeError, match="keep_records=True"):
+        write_event_csv(res.records, path)
+    assert path.read_text() == "kept\n"
+
+
 def test_write_event_csv_format(tmp_path):
     cfg = closure_config()
     res = run_conditional_experiment(cfg, 0.05, 2, keep_records=True)

@@ -1,9 +1,16 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from conftest import sigfigs_ok
-from biphoton.calibrate import CountSummary, KlyshkoCounts, eta_conditional, eta_klyshko
+from biphoton.calibrate import (
+    CalibrationError,
+    CountSummary,
+    KlyshkoCounts,
+    eta_conditional,
+    eta_klyshko,
+)
 from biphoton.uncertainty import (
     Budget,
     UncertainInput,
@@ -62,6 +69,10 @@ def test_poisson_std_helper():
     assert poisson_std(76.6, 10.0) == pytest.approx(math.sqrt(7.66))
     with pytest.raises(ValueError):
         poisson_std(1.0, 0.0)
+    bad = [(-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]
+    for rate, seconds in bad + [(1e308, 1e-308)]:  # the last quotient overflows
+        with pytest.raises(ValueError, match="finite"):
+            poisson_std(rate, seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +116,18 @@ def test_klyshko_sensitivities_match_finite_differences():
     for i in range(4):
         fd = central_difference(estimator, args, i)
         assert analytic[i] == pytest.approx(fd, rel=1e-6)
+
+
+def test_klyshko_sensitivities_reject_zero_coincidences(reference_klyshko_inputs):
+    # the estimate is 0, but d/dN_c = eta / N_c is not defined
+    k = replace(REFERENCE_K, n_coincidence=0.0)
+    assert eta_klyshko(k).value == 0.0
+    with pytest.raises(CalibrationError, match="zero coincidences"):
+        sensitivities_klyshko(k)
+    inputs = list(reference_klyshko_inputs)
+    inputs[1] = UncertainInput("n_coincidence", 0.0, 5.2)
+    with pytest.raises(CalibrationError, match="zero coincidences"):
+        budget_klyshko(inputs, tau_ns=40.0)
 
 
 def test_klyshko_sensitivities_reference_values():
