@@ -13,12 +13,12 @@ import numpy as np
 from biphoton import (
     Projector,
     apply_channel,
+    bloch_vector,
     conditional_state,
     degree_of_polarization,
     heralded_idler_state,
     make_state,
     rotator,
-    stokes_from_density,
     von_neumann_entropy,
 )
 
@@ -41,10 +41,9 @@ print("and pure.  Degree of polarization P and entropy S versus eta1:\n")
 print("eta1    P       S      s1")
 for eta1 in np.linspace(0.0, 1.0, 11):
     state = heralded_idler_state(eta1)
-    s = stokes_from_density(state)
     print(
-        f"{eta1:4.2f}  {degree_of_polarization(s):5.3f}  "
-        f"{von_neumann_entropy(state):6.4f}  {s.s1:+5.2f}"
+        f"{eta1:4.2f}  {degree_of_polarization(state):5.3f}  "
+        f"{von_neumann_entropy(state):6.4f}  {bloch_vector(state)[0]:+5.2f}"
     )
 
 print("\nP rises linearly as eta1 while S falls from 1 to 0: reading off P")

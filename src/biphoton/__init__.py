@@ -3,7 +3,7 @@
 The package splits into five layers:
 
 * :mod:`biphoton.polarization` - exact polarization-qubit algebra (density
-  matrices, channels, Stokes vectors, entropy);
+  matrices, channels, the Bloch vector, entropy);
 * :mod:`biphoton.bench` - static experiment descriptions and the analytic
   singles/coincidence predictions used as oracles;
 * :mod:`biphoton.simulate` - the deterministic seeded Monte Carlo engine
@@ -50,17 +50,15 @@ from .polarization import (
     PolarizationChannel,
     PolarizationDensity,
     Projector,
-    StokesVector,
     apply_channel,
+    bloch_vector,
     conditional_state,
     degree_of_polarization,
-    density_from_stokes,
     depolarizer,
     heralded_idler_state,
     linear_ket,
     make_state,
     rotator,
-    stokes_from_density,
     von_neumann_entropy,
 )
 from .scenario import load_config, parse_config, render_config

@@ -93,7 +93,7 @@ class Estimate:
     u: float = 0.0
 
     def __post_init__(self):
-        if self.u < 0:
+        if not self.u >= 0:  # False for NaN
             raise ValueError("Estimate: u must be >= 0")
 
 

@@ -2,16 +2,18 @@
 
 Density matrices for single photons (2x2, basis {|H>, |V>}) and photon
 pairs (4x4, basis {|HH>, |HV>, |VH>, |VV>}), CPTP channels in operator-sum
-form, Stokes vectors, and the entropy / degree-of-polarization observables
-used by the calibration analysis.
+form, and the Bloch vector with the entropy / degree-of-polarization
+observables used by the calibration analysis.
 
 Conventions
 -----------
 * Angles are degrees from horizontal at every public boundary; radians
   appear only inside trig calls.
-* Stokes components: s1 = Tr[rho (|H><H| - |V><V|)], s2 along the 45/135
-  axis, s3 = +1 for right-circular (|R> = (|H> - i|V>)/sqrt(2)).  With this
-  choice the heralded idler state produced by a V-trigger has s1 = -eta1.
+* Bloch components (the Stokes parameters of a unit-intensity beam):
+  s1 = Tr[rho (|H><H| - |V><V|)], s2 = +1 for linear polarization at 45
+  degrees, s3 = +1 for right-circular (|R> = (|H> - i|V>)/sqrt(2)).  With
+  this choice the heralded idler state produced by a V-trigger has
+  s1 = -eta1.
 * Entropy is base 2, so a polarization qubit scores in [0, 1].
 
 All types are immutable after construction and all operations are pure
@@ -21,7 +23,6 @@ functions, so everything here is safe for unrestricted parallel use.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,35 +89,6 @@ class JointDensity(_Density):
     """Two-photon density matrix, basis order {|HH>, |HV>, |VH>, |VV>}."""
 
     _dim = 4
-
-
-@dataclass(frozen=True)
-class StokesVector:
-    """Stokes 4-vector (s0, s1, s2, s3); intensities in consistent units."""
-
-    s0: float
-    s1: float
-    s2: float
-    s3: float
-
-    def __post_init__(self):
-        components = (self.s0, self.s1, self.s2, self.s3)
-        if not all(map(math.isfinite, components)):
-            raise ValueError(f"StokesVector: {self} has a non-finite component")
-        if self.s0 < 0:
-            raise ValueError(f"StokesVector: s0 = {self.s0} must be >= 0")
-        try:
-            squares = [c**2 for c in components]
-        except OverflowError:
-            squares = []
-        # a nonzero component whose square is below the smallest normal float
-        # has lost that square's precision, or all of it
-        tiny = sys.float_info.min
-        if not squares or any(c != 0.0 and sq < tiny for c, sq in zip(components, squares)):
-            raise ValueError(f"StokesVector: {self} squares out of floating-point range")
-        s0_sq, s1_sq, s2_sq, s3_sq = squares
-        if s1_sq + s2_sq + s3_sq > s0_sq * (1.0 + 1e-9):
-            raise ValueError("StokesVector: |s| exceeds s0 (overpolarized)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,7 +229,7 @@ def depolarizer(q: float) -> PolarizationChannel:
     """Isotropic depolarizing channel contracting (s1, s2, s3) by exactly ``q``.
 
     ``q = 1`` is the identity, ``q = 0`` maps everything to the fully mixed
-    state.  s0 is untouched.
+    state.  The trace is untouched.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"depolarizer strength q = {q} outside [0, 1]")
@@ -267,39 +239,19 @@ def depolarizer(q: float) -> PolarizationChannel:
 
 
 # ---------------------------------------------------------------------------
-# Stokes description
+# observables
 
 
-def stokes_from_density(rho: PolarizationDensity) -> StokesVector:
-    """Stokes vector of a (unit-trace) polarization density matrix.
-
-    A component whose square underflows, below about 1.5e-154, is returned
-    as a zero of its sign: next to s0 = 1 no square can tell it from zero,
-    and :class:`StokesVector` rejects it.
-    """
+def bloch_vector(rho: PolarizationDensity) -> tuple[float, float, float]:
+    """Bloch vector (s1, s2, s3) of a polarization density matrix."""
     m = rho.matrix
-    components = (m.trace().real, (m[0, 0] - m[1, 1]).real, 2.0 * m[0, 1].real, 2.0 * m[0, 1].imag)
-    return StokesVector(
-        *(c if c * c >= sys.float_info.min else math.copysign(0.0, c) for c in components)
-    )
+    off = 2.0 * m[0, 1]
+    return float((m[0, 0] - m[1, 1]).real), float(off.real), float(off.imag)
 
 
-def density_from_stokes(s: StokesVector) -> PolarizationDensity:
-    """Density matrix of a Stokes vector, normalized to unit trace."""
-    if s.s0 <= 0.0:
-        raise ValueError("density_from_stokes: s0 must be positive")
-    n1, n2, n3 = s.s1 / s.s0, s.s2 / s.s0, s.s3 / s.s0
-    m = 0.5 * np.array(
-        [[1.0 + n1, n2 + 1j * n3], [n2 - 1j * n3, 1.0 - n1]], dtype=complex
-    )
-    return PolarizationDensity(m)
-
-
-def degree_of_polarization(s: StokesVector) -> float:
-    """P = sqrt(s1^2 + s2^2 + s3^2) / s0."""
-    if s.s0 <= 0.0:
-        raise ValueError("degree_of_polarization undefined for s0 <= 0")
-    return math.sqrt(s.s1**2 + s.s2**2 + s.s3**2) / s.s0
+def degree_of_polarization(rho: PolarizationDensity) -> float:
+    """P = |(s1, s2, s3)|, the length of the Bloch vector."""
+    return math.hypot(*bloch_vector(rho))
 
 
 def von_neumann_entropy(rho: PolarizationDensity) -> float:
@@ -309,8 +261,7 @@ def von_neumann_entropy(rho: PolarizationDensity) -> float:
     Bloch-vector length, so this is evaluated in closed form rather than
     through an iterative eigensolver.
     """
-    s = stokes_from_density(rho)
-    r = min(1.0, math.sqrt(s.s1**2 + s.s2**2 + s.s3**2))
+    r = min(1.0, degree_of_polarization(rho))
     out = 0.0
     for lam in ((1.0 + r) / 2.0, (1.0 - r) / 2.0):
         if lam > 0.0:

@@ -22,7 +22,7 @@ from biphoton.calibrate import (
     eta_klyshko,
     visibility,
 )
-from biphoton.polarization import Projector, heralded_idler_state, stokes_from_density
+from biphoton.polarization import Projector, heralded_idler_state
 from biphoton.polarization import degree_of_polarization, von_neumann_entropy
 from biphoton.simulate import (
     run_klyshko_experiment,
@@ -348,8 +348,7 @@ def test_criterion_10_entropy_and_polarization_degree():
     s_one = von_neumann_entropy(heralded_idler_state(1.0))
     s_half = von_neumann_entropy(heralded_idler_state(0.5))
     grid_ok = all(
-        degree_of_polarization(stokes_from_density(heralded_idler_state(e)))
-        == pytest.approx(e, abs=1e-14)
+        degree_of_polarization(heralded_idler_state(e)) == pytest.approx(e, abs=1e-14)
         for e in (0.0, 0.25, 0.5, 0.75, 1.0)
     )
     ok = s_zero == 1.0 and s_one == 0.0 and abs(s_half - 0.8113) <= 1e-4 and grid_ok

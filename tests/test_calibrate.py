@@ -99,6 +99,12 @@ def test_counts_reject_non_finite_fields(bad):
             KlyshkoCounts(**{**klyshko, name: bad})
 
 
+@pytest.mark.parametrize("u", [-1.0, math.nan])
+def test_estimate_rejects_negative_or_nan_uncertainty(u):
+    with pytest.raises(ValueError, match="u must be >= 0"):
+        Estimate(0.5, u)
+
+
 # ---------------------------------------------------------------------------
 # corrections
 

@@ -9,23 +9,31 @@ from biphoton.polarization import (
     PolarizationChannel,
     PolarizationDensity,
     Projector,
-    StokesVector,
     apply_channel,
+    bloch_vector,
     conditional_state,
     degree_of_polarization,
-    density_from_stokes,
     depolarizer,
     heralded_idler_state,
     linear_ket,
     make_state,
     rotator,
-    stokes_from_density,
     von_neumann_entropy,
 )
 
 
 def dm(matrix) -> PolarizationDensity:
     return PolarizationDensity(np.asarray(matrix, dtype=complex))
+
+
+def bloch_state(s1, s2, s3) -> PolarizationDensity:
+    """Density matrix (I + s1 sigma_z + s2 sigma_x + s3 sigma_y) / 2."""
+    return dm(0.5 * np.array([[1.0 + s1, s2 + 1j * s3], [s2 - 1j * s3, 1.0 - s1]]))
+
+
+def ket_state(ket) -> PolarizationDensity:
+    k = np.asarray(ket, dtype=complex)
+    return dm(np.outer(k, k.conj()))
 
 
 H = dm([[1, 0], [0, 0]])
@@ -166,8 +174,7 @@ def test_rotator_90_maps_h_to_v():
 def test_rotator_0_and_depolarizer_1_are_identity():
     rng = np.random.default_rng(4)
     for _ in range(5):
-        s = StokesVector(1.0, *(rng.uniform(-0.5, 0.5, 3)))
-        rho = density_from_stokes(s)
+        rho = bloch_state(*rng.uniform(-0.5, 0.5, 3))
         assert np.allclose(apply_channel(rho, rotator(0.0)).matrix, rho.matrix, atol=1e-12)
         assert np.allclose(apply_channel(rho, depolarizer(1.0)).matrix, rho.matrix, atol=1e-12)
 
@@ -183,22 +190,19 @@ def test_depolarizer_contracts_stokes_exactly():
     out = apply_channel(H, depolarizer(q))
     assert np.allclose(np.diag(out.matrix).real, [(1 + q) / 2, (1 - q) / 2], atol=1e-12)
     assert np.allclose(np.diag(out.matrix).real, [0.916, 0.084], atol=1e-12)
-    s_in = StokesVector(1.0, 0.2, -0.4, 0.3)
-    s_out = stokes_from_density(apply_channel(density_from_stokes(s_in), depolarizer(q)))
-    assert (s_out.s1, s_out.s2, s_out.s3) == pytest.approx(
-        (q * 0.2, q * -0.4, q * 0.3), abs=1e-12
-    )
+    s_out = bloch_vector(apply_channel(bloch_state(0.2, -0.4, 0.3), depolarizer(q)))
+    assert s_out == pytest.approx((q * 0.2, q * -0.4, q * 0.3), abs=1e-12)
 
 
 def test_rotator_90_stokes_map_matches_matrix_oracle():
     # oracle: conjugate the density matrix by the rotation matrix directly
     r = np.array([[0.0, -1.0], [1.0, 0.0]])
-    rho_in = density_from_stokes(StokesVector(1.0, 1.0, 0.0, 0.0))
+    rho_in = bloch_state(1.0, 0.0, 0.0)
     expected = r @ rho_in.matrix @ r.T
     out = apply_channel(rho_in, rotator(90.0))
     assert np.allclose(out.matrix, expected, atol=1e-12)
-    s = stokes_from_density(out)
-    assert (s.s0, s.s1, s.s2, s.s3) == pytest.approx((1.0, -1.0, 0.0, 0.0), abs=1e-12)
+    assert out.matrix.trace().real == pytest.approx(1.0, abs=1e-12)
+    assert bloch_vector(out) == pytest.approx((-1.0, 0.0, 0.0), abs=1e-12)
 
 
 def test_channels_preserve_trace_on_random_states():
@@ -206,7 +210,7 @@ def test_channels_preserve_trace_on_random_states():
     for _ in range(10):
         vec = rng.normal(size=3)
         vec *= rng.uniform(0, 1) / np.linalg.norm(vec)
-        rho = density_from_stokes(StokesVector(1.0, *vec))
+        rho = bloch_state(*vec)
         for ch in (rotator(rng.uniform(0, 360)), depolarizer(rng.uniform(0, 1))):
             out = apply_channel(rho, ch)
             assert abs(out.matrix.trace() - 1.0) < 1e-10
@@ -218,7 +222,7 @@ def test_depolarizer_commutes_with_rotator(q, angle):
     rng = np.random.default_rng(7)
     vec = rng.normal(size=3)
     vec *= 0.8 / np.linalg.norm(vec)
-    rho = density_from_stokes(StokesVector(1.0, *vec))
+    rho = bloch_state(*vec)
     a = apply_channel(apply_channel(rho, rotator(angle)), depolarizer(q))
     b = apply_channel(apply_channel(rho, depolarizer(q)), rotator(angle))
     assert np.allclose(a.matrix, b.matrix, atol=1e-10)
@@ -242,12 +246,30 @@ def test_depolarizer_rejects_bad_strength():
 
 
 # ---------------------------------------------------------------------------
-# Stokes description
+# Bloch vector and degree of polarization
 
 
 def test_stokes_of_h_state():
-    s = stokes_from_density(H)
-    assert (s.s0, s.s1, s.s2, s.s3) == pytest.approx((1.0, 1.0, 0.0, 0.0), abs=1e-14)
+    assert bloch_vector(H) == pytest.approx((1.0, 0.0, 0.0), abs=1e-14)
+
+
+R2 = 1.0 / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize(
+    "ket, expected",
+    [
+        ((1.0, 0.0), (1.0, 0.0, 0.0)),  # |H>
+        ((0.0, 1.0), (-1.0, 0.0, 0.0)),  # |V>
+        ((R2, R2), (0.0, 1.0, 0.0)),  # linear at 45 degrees
+        ((R2, -R2), (0.0, -1.0, 0.0)),  # linear at 135 degrees
+        ((R2, -1j * R2), (0.0, 0.0, 1.0)),  # |R>
+        ((R2, 1j * R2), (0.0, 0.0, -1.0)),  # |L>
+    ],
+)
+def test_bloch_vector_sign_convention_on_literal_kets(ket, expected):
+    # the convention of the module docstring, from kets written out by hand
+    assert bloch_vector(ket_state(ket)) == pytest.approx(expected, abs=1e-15)
 
 
 def test_stokes_round_trip_random():
@@ -255,58 +277,59 @@ def test_stokes_round_trip_random():
     for _ in range(20):
         vec = rng.normal(size=3)
         vec *= rng.uniform(0, 1) / np.linalg.norm(vec)
-        s_in = StokesVector(1.0, *vec)
-        s_out = stokes_from_density(density_from_stokes(s_in))
-        assert (s_out.s0, s_out.s1, s_out.s2, s_out.s3) == pytest.approx(
-            (s_in.s0, s_in.s1, s_in.s2, s_in.s3), abs=1e-12
-        )
+        assert bloch_vector(bloch_state(*vec)) == pytest.approx(tuple(vec), abs=1e-12)
 
 
 def test_heralded_state_stokes_sign_convention():
     # V-heavy heralded state carries s1 = -eta1
     for eta in (0.3, 0.7, 1.0):
-        s = stokes_from_density(heralded_idler_state(eta))
-        assert s.s1 == pytest.approx(-eta, abs=1e-14)
+        assert bloch_vector(heralded_idler_state(eta))[0] == pytest.approx(-eta, abs=1e-14)
     assert np.allclose(heralded_idler_state(1.0).matrix, V.matrix, atol=1e-14)
 
 
-def test_stokes_validation():
-    with pytest.raises(ValueError, match="s0"):
-        StokesVector(-1.0, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError, match="overpolarized"):
-        StokesVector(1.0, 1.0, 0.5, 0.0)
-    for components in ((math.nan, 0.0, 0.0, 0.0), (1.0, math.inf, 0.0, 0.0), (1.0, 0.0, 0.0, math.nan)):
-        with pytest.raises(ValueError, match="non-finite"):
-            StokesVector(*components)
-    for components in ((1e200, 1e200, 0.0, 0.0), (1e200, 0.0, 0.0, 0.0), (1.0, 0.0, 1e155, 0.0)):
-        with pytest.raises(ValueError, match="out of floating-point range"):
-            StokesVector(*components)
-    # squares that underflow: here both are 0, which would make P = 0 where it is 2
-    for components in ((1e-200, 0.0, 0.0, 2e-200), (0.0, 1e-200, 0.0, 0.0)):
-        with pytest.raises(ValueError, match="out of floating-point range"):
-            StokesVector(*components)
-    # the largest components whose squares stay finite still construct
-    assert StokesVector(1e154, 1e154, 0.0, 0.0).s1 == 1e154
-    # a valid state with an off-diagonal that small has a Stokes vector all the same
-    rho = apply_channel(PolarizationDensity(np.diag([1.0, 0.0])), rotator(1e-160))
-    assert rho.matrix[0, 1] != 0.0
-    assert stokes_from_density(rho) == StokesVector(1.0, 1.0, 0.0, 0.0)
-    assert von_neumann_entropy(rho) == 0.0
-
-
 def test_degree_of_polarization_examples():
-    assert degree_of_polarization(StokesVector(1.0, 0.0, 0.0, 0.0)) == 0.0
-    assert degree_of_polarization(StokesVector(1.0, 0.6, 0.8, 0.0)) == pytest.approx(1.0, abs=1e-14)
+    assert degree_of_polarization(dm(np.eye(2) / 2)) == 0.0
+    assert degree_of_polarization(bloch_state(0.6, 0.8, 0.0)) == pytest.approx(1.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.25, 0.5, 0.75, 1.0])
 def test_degree_of_polarization_equals_trigger_efficiency(eta):
-    s = stokes_from_density(heralded_idler_state(eta))
-    assert degree_of_polarization(s) == pytest.approx(eta, abs=1e-14)
+    assert degree_of_polarization(heralded_idler_state(eta)) == pytest.approx(eta, abs=1e-14)
+
+
+def _random_densities(rng):
+    """Mixed, pure, near-pure and fully mixed states, none built from a Bloch vector."""
+    yield dm(np.eye(2) / 2)
+    for _ in range(20):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        m = a @ a.conj().T
+        yield dm(m / m.trace().real)
+        ket = rng.normal(size=2) + 1j * rng.normal(size=2)
+        pure = np.outer(ket, ket.conj()) / np.vdot(ket, ket).real
+        yield dm(pure)
+        yield dm((1.0 - 1e-9) * pure + 1e-9 * np.eye(2) / 2)
+
+
+def test_degree_of_polarization_matches_eigenvalue_spread():
+    # oracle: the eigenvalues of a unit-trace 2x2 density are (1 +- P)/2
+    for rho in _random_densities(np.random.default_rng(41)):
+        lam = np.linalg.eigvalsh(rho.matrix)
+        assert degree_of_polarization(rho) == pytest.approx(lam[-1] - lam[0], abs=1e-12)
+        # bloch_vector inverts the test helper on the same state
+        assert np.allclose(bloch_state(*bloch_vector(rho)).matrix, rho.matrix, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # entropy
+
+
+def test_entropy_of_state_rotated_by_a_tiny_angle():
+    # an off-diagonal far below the float range of its square still reads as pure
+    rho = apply_channel(PolarizationDensity(np.diag([1.0, 0.0])), rotator(1e-160))
+    assert rho.matrix[0, 1] != 0.0
+    assert bloch_vector(rho)[0] == 1.0
+    assert degree_of_polarization(rho) == 1.0
+    assert von_neumann_entropy(rho) == 0.0
 
 
 def test_entropy_endpoints_exact():
@@ -333,7 +356,7 @@ def test_entropy_matches_eigensolver_oracle():
     for _ in range(10):
         vec = rng.normal(size=3)
         vec *= rng.uniform(0, 0.99) / np.linalg.norm(vec)
-        rho = density_from_stokes(StokesVector(1.0, *vec))
+        rho = bloch_state(*vec)
         lam = np.linalg.eigvalsh(rho.matrix)
         expected = float(-(lam * np.log2(lam)).sum())
         assert von_neumann_entropy(rho) == pytest.approx(expected, abs=1e-10)
