@@ -93,8 +93,10 @@ class Estimate:
     u: float = 0.0
 
     def __post_init__(self):
-        if not self.u >= 0:  # False for NaN
-            raise ValueError("Estimate: u must be >= 0")
+        if not math.isfinite(self.value):
+            raise ValueError("Estimate: value must be finite")
+        if not 0 <= self.u < math.inf:  # False for NaN
+            raise ValueError("Estimate: u must be >= 0 and finite")
 
 
 @dataclass(frozen=True)

@@ -210,20 +210,19 @@ def _cmd_calibrate(args) -> int:
     try:
         estimate = scheme.estimate(counts)
         budget = None if u is None else scheme.budget(counts, u)
-        if budget is not None:
-            estimate = replace(estimate, u=budget.combined_u)
-        lines = [(label, Estimate(v)) for label, v in scheme.preface(counts)]
-        lines.append((scheme.label, estimate))
-        if args.epsilon is not None:
-            corrected = apply_polarizer_correction(estimate, args.epsilon)
-            lines.append((f"eta / epsilon({args.epsilon:g})", corrected))
-        # the estimate line holds the budget's estimate and combined u, and a
-        # non-finite sensitivity or contribution makes combined u non-finite
-        finite = all(math.isfinite(x) for _, e in lines for x in (e.value, e.u))
+        # a non-finite sensitivity or contribution makes combined u non-finite
+        finite = budget is None or math.isfinite(budget.combined_u)
     except ArithmeticError:  # a square or a quotient of the counts left the float range
         finite = False
     if not finite:
         raise ConfigError(f"{args.counts}: these counts give no finite estimate and budget")
+    if budget is not None:
+        estimate = replace(estimate, u=budget.combined_u)
+    lines = [(label, Estimate(v)) for label, v in scheme.preface(counts)]
+    lines.append((scheme.label, estimate))
+    if args.epsilon is not None:
+        corrected = apply_polarizer_correction(estimate, args.epsilon)
+        lines.append((f"eta / epsilon({args.epsilon:g})", corrected))
     text = [f"{label} = {e.value:.6g}" + (f" +- {e.u:.3g}" if e.u else "") for label, e in lines]
     if budget is not None:
         text += ["", format_budget(budget)]

@@ -68,8 +68,9 @@ class DetectionRecord(NamedTuple):
 
 _CHANNEL_NAMES = np.array(CHANNELS, dtype=object)
 _ORIGIN_NAMES = np.array(ORIGINS, dtype=object)
-# Rows are turned into Python objects this many at a time, so that a large
-# record set never holds a Python object for every row at once.
+# Rows are turned into Python objects, or into the event CSV writer's byte
+# matrix, this many at a time, so that a large record set never holds a
+# Python object or a padded text row for every row at once.
 _ROWS_PER_CHUNK = 1 << 14
 
 
@@ -86,6 +87,15 @@ class EventRecords:
     channel: np.ndarray
     time_ns: np.ndarray
     origin: np.ndarray
+
+    def __post_init__(self):
+        columns = [getattr(self, name) for name in DetectionRecord._fields]
+        if any(np.ndim(c) != 1 for c in columns) or len({len(c) for c in columns}) > 1:
+            raise ValueError("EventRecords: channel, time_ns and origin must be 1-D and of one length")
+        for name, names in (("channel", CHANNELS), ("origin", ORIGINS)):
+            index = getattr(self, name)
+            if np.any((index < 0) | (index >= len(names))):
+                raise ValueError(f"EventRecords: {name} must index {names}")
 
     def __len__(self) -> int:
         return len(self.time_ns)
@@ -578,27 +588,131 @@ def scan_delay(
     return points
 
 
+# The event CSV writer builds each chunk as a matrix of fixed-width byte
+# cells, NUL where a cell is shorter than its column: "channel,", the time,
+# ",origin\n".  A time cell holds 16 integer digits (2**52 has 16), the point
+# and 12 fraction digits, which is also room for any float's repr.
+_INT_DIGITS, _FRACTION_DIGITS = 16, 12
+_TIME_CELL = _INT_DIGITS + 1 + _FRACTION_DIGITS
+
+
+def _byte_cells(texts, width: int) -> np.ndarray:
+    """ASCII ``texts`` as the rows of a NUL-padded (len(texts), width) uint8 matrix."""
+    return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), width)
+
+
+_CHANNEL_CELLS = _byte_cells([f"{name}," for name in CHANNELS], 1 + max(map(len, CHANNELS)))
+_ORIGIN_CELLS = _byte_cells([f",{name}\n" for name in ORIGINS], 2 + max(map(len, ORIGINS)))
+_TIME_START = _CHANNEL_CELLS.shape[1]
+_TIME_END = _TIME_START + _TIME_CELL
+_ROW_BYTES = _TIME_END + _ORIGIN_CELLS.shape[1]
+# "0000" to "9999", four ASCII digits per uint32
+_DIGIT_QUADS = np.frombuffer("".join(f"{i:04d}" for i in range(10_000)).encode(), dtype=np.uint32)
+_POW10 = np.array([10**n for n in range(_INT_DIGITS + 1)], dtype=np.uint64)
+_POW5 = np.array([5**q for q in range(_FRACTION_DIGITS + 1)], dtype=np.uint64)
+# fewest fraction digits q that read back any float with s fraction bits:
+# 10**q > 2**s, so a q-digit decimal lies inside every rounding interval
+_DIGITS_FOR_BITS = np.array([len(str(2**s)) for s in range(37)])
+# _TIME_MASKS[n, q] keeps n integer digits, the point and q fraction digits
+_TIME_MASKS = np.where(
+    (np.arange(_TIME_CELL) >= _INT_DIGITS - np.arange(_INT_DIGITS + 1)[:, None, None])
+    & (np.arange(_TIME_CELL) <= _INT_DIGITS + np.arange(_FRACTION_DIGITS + 1)[:, None]),
+    0xFF,
+    0,
+).astype(np.uint8)
+
+
+def _nearest_fraction(k, s, q):
+    """Nearest (ties to even) q-digit fraction j to k / 2**s, and whether it reads back.
+
+    j / 10**q reads back as the float when it lies inside the float's
+    rounding interval: 2 |j 2**(s-q) - k 5**q| < 5**q.  5**q is odd, so a
+    candidate never sits on the interval's edge.  All operands are uint64:
+    mixed with int64, numpy 1.x promotes to float64.
+    """
+    p5 = _POW5[q]
+    shift = s - q.astype(np.uint64)
+    twice_err = k * p5  # k 5**q < 2**62 for s <= 36 and q <= ceil(s log10 2)
+    j = twice_err >> shift
+    twice_err -= j << shift  # the remainder, doubled next
+    twice_err <<= np.uint64(1)
+    one = np.uint64(1) << shift
+    up = (twice_err > one) | ((twice_err == one) & ((j & np.uint64(1)) == 1))
+    np.subtract(one << np.uint64(1), twice_err, out=twice_err, where=up)
+    j += up
+    return j, twice_err < p5
+
+
+def _ascii_digits(v: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` (12 or 16) low decimal digits of uint64 ``v`` < 10**16 as ASCII rows."""
+    halves = np.stack(np.divmod(v, np.uint64(10**8)), axis=1).astype(np.uint32)
+    quads = np.stack(np.divmod(halves, np.uint32(10**4)), axis=2).reshape(len(v), 4)
+    return _DIGIT_QUADS[quads[:, 4 - width // 4 :]].view(np.uint8)
+
+
+def _shortest_fixed(x: np.ndarray):
+    """repr's digits of times 2**16 <= x < 2**52: (integer part, its digit count, j, q).
+
+    In that range the float's spacing is at most 1/2, so repr writes every
+    integer digit and the q fraction digits j of the fewest that read back,
+    up to 17 significant digits.  Powers of two there are integers, read
+    back at q = 0, so their lopsided rounding interval never matters.
+    """
+    bits = x.view(np.uint64)
+    s = np.uint64(1075) - (bits >> np.uint64(52))  # fraction bits, 1 to 36
+    k = (bits & np.uint64(2**52 - 1)) | np.uint64(2**52)  # the 53-bit significand
+    integer = k >> s
+    k -= integer << s
+    n_int = np.searchsorted(_POW10, integer, side="right")
+    # each bound alone makes q digits read back: 10**q > 2**s, or 17
+    # significant digits, which read back any float
+    q = np.minimum(_DIGITS_FOR_BITS[s], 17 - n_int)
+    j, _ = _nearest_fraction(k, s, q)
+    # if q - 1 digits read back so do q, so step down until they do not
+    live = np.flatnonzero(q > 0)
+    while live.size:
+        fewer = q[live] - 1
+        j_fewer, ok = _nearest_fraction(k[live], s[live], fewer)
+        live = live[ok]
+        q[live], j[live] = fewer[ok], j_fewer[ok]
+        live = live[q[live] > 0]
+    return integer, n_int, j, q
+
+
+def _write_time_cells(x: np.ndarray, cells: np.ndarray) -> None:
+    """Write the repr of each time into a row of ``cells``, NUL-padded."""
+    fixed = (x >= 2.0**16) & (x < 2.0**52)  # False for NaN
+    integer, n_int, j, q = _shortest_fixed(np.where(fixed, x, 2.0**16))
+    q = np.maximum(q, 1)  # an integer is written "I.0"
+    cells[:, :_INT_DIGITS] = _ascii_digits(integer, _INT_DIGITS)
+    cells[:, _INT_DIGITS] = ord(".")
+    # j left-aligned in the fraction's columns
+    cells[:, _INT_DIGITS + 1 :] = _ascii_digits(j * _POW10[_FRACTION_DIGITS - q], _FRACTION_DIGITS)
+    cells &= _TIME_MASKS[n_int, q]
+    # negative, zero, small, large, subnormal and non-finite times
+    rest = np.flatnonzero(~fixed)
+    cells[rest] = _byte_cells([repr(t) for t in x[rest].tolist()], _TIME_CELL)
+
+
 def write_event_csv(records: EventRecords, path) -> None:
     """Dump detection records as CSV: header ``channel,time_ns,origin``.
 
-    Times are written with Python's float ``repr``, the shortest string that
-    reads back as the same float.  A run without ``keep_records=True`` has
-    no records (None); anything but :class:`EventRecords` raises TypeError
-    before ``path`` is opened.
+    Times are written as Python's float ``repr`` writes them, the shortest
+    string that reads back as the same float; times from 2**16 to 2**52 ns
+    get those digits from integer arithmetic over whole columns.  A run
+    without ``keep_records=True`` has no records (None); anything but
+    :class:`EventRecords` raises TypeError before ``path`` is opened.
     """
     if not isinstance(records, EventRecords):
         raise TypeError(
             f"write_event_csv: records is {type(records).__name__}, not EventRecords;"
             " run the experiment with keep_records=True"
         )
-    channel_cells = _CHANNEL_NAMES + ","
-    origin_cells = "," + _ORIGIN_NAMES + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(DetectionRecord._fields) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(DetectionRecord._fields) + "\n").encode())
         for channel, time_ns, origin in records._chunks():
-            # row i is cells[3i:3i+3]: "channel,", the time, ",origin\n"
-            cells = [""] * (3 * len(time_ns))
-            cells[0::3] = channel_cells[channel].tolist()
-            cells[1::3] = map(repr, time_ns.tolist())
-            cells[2::3] = origin_cells[origin].tolist()
-            fh.write("".join(cells))
+            rows = np.empty((len(time_ns), _ROW_BYTES), np.uint8)
+            rows[:, :_TIME_START] = _CHANNEL_CELLS[channel]
+            _write_time_cells(time_ns, rows[:, _TIME_START:_TIME_END])
+            rows[:, _TIME_END:] = _ORIGIN_CELLS[origin]
+            fh.write(rows.tobytes().translate(None, b"\0"))

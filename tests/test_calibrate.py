@@ -105,6 +105,20 @@ def test_estimate_rejects_negative_or_nan_uncertainty(u):
         Estimate(0.5, u)
 
 
+@pytest.mark.parametrize(
+    "value, u, message",
+    [
+        (math.nan, 0.1, "value must be finite"),
+        (math.inf, 0.0, "value must be finite"),
+        (-math.inf, 0.0, "value must be finite"),
+        (0.5, math.inf, "u must be >= 0 and finite"),
+    ],
+)
+def test_estimate_rejects_non_finite_values(value, u, message):
+    with pytest.raises(ValueError, match=message):
+        Estimate(value, u)
+
+
 # ---------------------------------------------------------------------------
 # corrections
 

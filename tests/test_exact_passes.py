@@ -164,11 +164,13 @@ def test_tac_with_every_stop_outside_every_window():
 
 
 # times whose repr takes every form: 0.0, integer-valued, below 1e-4 and from
-# 1e16 up (exponent form), negative, and full 17-digit mantissas
+# 1e16 up (exponent form), negative, and full 17-digit mantissas; and times
+# from 2**16 to 2**52, whose digits the writer finds by integer arithmetic
 event_times = st.one_of(
     st.sampled_from([0.0, -0.0, 3.0, 1.0e-5, 5.0e-324, 9.999e15, 1.0e16, 1.5e17, 1.0e22]),
     st.integers(0, 10**17).map(float),
     st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(2**16, 2**52),
 )
 
 
@@ -209,6 +211,48 @@ def test_event_csv_matches_row_writer_across_chunks(tmp_path):
         rng.integers(0, len(ORIGINS), n).tolist(),
     )
     assert_columns_match_rows(list(rows), tmp_path)
+
+
+def test_event_csv_times_match_repr_in_every_binade(tmp_path):
+    # 2**20 random significands spread over the binades from 2**16 to 2**52,
+    # and in each binade: ties, I + m / 2**t with m odd and t up to 20,
+    # whose last digit 5 puts a shorter decimal exactly halfway; times one
+    # ulp below the next integer, where rounding carries; and the power of
+    # two with its neighbours; plus both edges of the range the writer
+    # formats without repr
+    rng = np.random.default_rng(12)
+    exponents = np.arange(16, 52)
+    per_binade = -(-(1 << 20) // len(exponents))
+    mantissas = (1 << 52) + rng.integers(0, 1 << 52, (len(exponents), per_binade), dtype=np.int64)
+    random_times = np.ldexp(mantissas.astype(float), exponents[:, None] - 52)
+    integers = np.floor(random_times[:, :64])
+    # I + m / 2**t is a float when t is at most the binade's 52 - e fraction bits
+    bits = 1 + rng.integers(0, 1 << 20, integers.shape) % np.minimum(20, 52 - exponents)[:, None]
+    fractions = (2 * rng.integers(0, 1 << 19, integers.shape) + 1) % (1 << bits) / 2.0**bits
+    ties = integers + fractions
+    assert np.all(ties - integers == fractions)  # each tie is exact
+    powers = np.ldexp(1.0, exponents)
+    edges = [2.0**16, np.nextafter(2.0**16, 0), 2.0**52, np.nextafter(2.0**52, 0)]
+    times = np.concatenate(
+        [
+            random_times.ravel(),
+            ties.ravel(),
+            np.nextafter(integers + 1, 0).ravel(),
+            powers,
+            np.nextafter(powers, 0),
+            np.nextafter(powers, np.inf),
+            edges,
+        ]
+    )
+    assert random_times.size >= 10**6
+    records = EventRecords(
+        np.zeros(len(times), np.int8), times, np.zeros(len(times), np.int8)
+    )
+    write_event_csv(records, tmp_path / "events.csv")
+    lines = (tmp_path / "events.csv").read_text().splitlines()
+    expected = ["channel,time_ns,origin", *map("trigger,{!r},pair".format, times.tolist())]
+    assert len(lines) == len(expected)
+    assert [(got, want) for got, want in zip(lines, expected) if got != want][:5] == []
 
 
 # idler states: signed zeros, negative angles, and idler delays on the pulse

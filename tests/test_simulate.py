@@ -603,6 +603,30 @@ def test_write_event_csv_without_records_leaves_the_file(tmp_path):
     assert path.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ({"channel": [-1]}, "channel must index"),
+        ({"channel": [7]}, "channel must index"),
+        ({"origin": [-1]}, "origin must index"),
+        ({"origin": [3]}, "origin must index"),
+        ({"time_ns": [1.0, 2.0, 3.0], "channel": [0, 1], "origin": [0, 2]}, "one length"),
+        ({"time_ns": [[1.0]], "channel": [[0]], "origin": [[0]]}, "1-D"),
+    ],
+)
+def test_event_records_reject_bad_columns_before_a_file_is_opened(tmp_path, columns, message):
+    dtypes = {"channel": np.int8, "time_ns": float, "origin": np.int8}
+    values = {"channel": [1], "time_ns": [5.0e5], "origin": [2], **columns}
+    path = tmp_path / "events.csv"
+    path.write_text("kept\n")
+    with pytest.raises(ValueError, match=message):
+        write_event_csv(
+            EventRecords(**{name: np.array(values[name], dtype=dtypes[name]) for name in dtypes}),
+            path,
+        )
+    assert path.read_text() == "kept\n"
+
+
 def test_write_event_csv_format(tmp_path):
     cfg = closure_config()
     res = run_conditional_experiment(cfg, 0.05, 2, keep_records=True)
