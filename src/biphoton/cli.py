@@ -45,6 +45,7 @@ from .simulate import (
     subseed,
 )
 from .uncertainty import (
+    INPUT_NAMES,
     UncertainInput,
     budget_conditional,
     budget_csv,
@@ -139,12 +140,9 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-_CONDITIONAL_INPUTS = ("n_h", "n_v", "nc_h", "nc_v")  # in budget_conditional's order
-
-
-def _rows(counts, names, u) -> list[UncertainInput]:
-    """Gaussian budget inputs: the ``names`` fields of ``counts``, standard deviations ``u``."""
-    return [UncertainInput(n, getattr(counts, n), s) for n, s in zip(names, u)]
+def _rows(counts, u, scheme="conditional") -> list[UncertainInput]:
+    """Gaussian budget inputs: the scheme's inputs read from ``counts``, std devs ``u``."""
+    return [UncertainInput(n, getattr(counts, n), s) for n, s in zip(INPUT_NAMES[scheme], u)]
 
 
 def _subtract_background(c: CountSummary, path: str | None) -> CountSummary:
@@ -173,7 +171,7 @@ _SCHEMES = {
     "conditional": _Scheme(
         counts=CountSummary,
         budget_keys=("u_n_h", "u_n_v", "u_nc_h", "u_nc_v"),
-        budget=lambda c, u: budget_conditional(_rows(c, _CONDITIONAL_INPUTS, u)),
+        budget=lambda c, u: budget_conditional(_rows(c, u)),
         estimate=eta_conditional,
         label="eta (conditional)    ",
         preface=lambda c: [
@@ -186,8 +184,7 @@ _SCHEMES = {
         counts=KlyshkoCounts,
         budget_keys=("u_n_idler", "u_n_coincidence", "u_n_signal", "t_half_width_ns"),
         budget=lambda k, u: budget_klyshko(  # T is rectangular, of half-width u[3]
-            _rows(k, ("n_idler", "n_coincidence", "n_signal"), u)
-            + [UncertainInput.rectangular("t_ns", k.t_ns, u[3])],
+            _rows(k, u[:3], "klyshko") + [UncertainInput.rectangular("t_ns", k.t_ns, u[3])],
             tau_ns=k.tau_ns,
         ),
         estimate=eta_klyshko,
@@ -284,8 +281,8 @@ def _cmd_selftest(args) -> int:
     summary = CountSummary(
         n_h=res_h.singles, n_v=res_v.singles, nc_h=res_h.coincidences, nc_v=res_v.coincidences
     )
-    poisson = [math.sqrt(getattr(summary, n)) for n in _CONDITIONAL_INPUTS]
-    budget = budget_conditional(_rows(summary, _CONDITIONAL_INPUTS, poisson))
+    poisson = [math.sqrt(getattr(summary, n)) for n in INPUT_NAMES["conditional"]]
+    budget = budget_conditional(_rows(summary, poisson))
     z = abs(eta_conditional(summary).value - cfg.det1.eta) / budget.combined_u
     checks.append(("conditional estimator recovers eta1", z, 4.0))
 
@@ -324,7 +321,7 @@ def _cmd_selftest(args) -> int:
 def _reference_inputs() -> list[UncertainInput]:
     # bundled example budget used by the self-test
     reference = CountSummary(76.6, 165.9, 4.4, 48.7)
-    return _rows(reference, _CONDITIONAL_INPUTS, (4.2, 5.7, 1.6, 2.6))
+    return _rows(reference, (4.2, 5.7, 1.6, 2.6))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,12 @@ MIN_MC_TRIALS = 10_000
 _MC_BLOCK = 1 << 15
 _DEFAULT_MC_SEED = 7041
 
+# Input names of each scheme, in the order of its sensitivities and estimator formula.
+INPUT_NAMES = {
+    "conditional": ("n_h", "n_v", "nc_h", "nc_v"),
+    "klyshko": ("n_idler", "n_coincidence", "n_signal", "t_ns"),
+}
+
 
 @dataclass(frozen=True)
 class UncertainInput:
@@ -187,16 +193,21 @@ def _rows(
     return tuple(rows)
 
 
-def budget_conditional(inputs: Sequence[UncertainInput]) -> Budget:
-    """Budget of the conditional estimator.
+def _counts(scheme: str, inputs: Sequence[UncertainInput], tau_ns: float | None = None):
+    """The scheme's checked counts record, from inputs named as in ``INPUT_NAMES``."""
+    names = tuple(inp.name for inp in inputs)
+    if names != INPUT_NAMES[scheme]:
+        raise ValueError(f"{scheme} inputs must be named {INPUT_NAMES[scheme]}, got {names}")
+    values = {inp.name: inp.value for inp in inputs}
+    if scheme == "conditional":
+        return CountSummary(**values)
+    return KlyshkoCounts(tau_ns=tau_ns, **values)
 
-    ``inputs`` must be the four rates in the order N_H, N_V, Nc_H, Nc_V.
-    """
-    if len(inputs) != 4:
-        raise ValueError("budget_conditional expects exactly 4 inputs")
-    c = CountSummary(inputs[0].value, inputs[1].value, inputs[2].value, inputs[3].value)
-    coeffs = sensitivities_conditional(c)
-    return Budget(eta_conditional(c).value, _rows(inputs, coeffs))
+
+def budget_conditional(inputs: Sequence[UncertainInput]) -> Budget:
+    """Budget of the conditional estimator; inputs as in ``INPUT_NAMES["conditional"]``."""
+    c = _counts("conditional", inputs)
+    return Budget(eta_conditional(c).value, _rows(inputs, sensitivities_conditional(c)))
 
 
 def budget_klyshko(
@@ -206,25 +217,15 @@ def budget_klyshko(
 ) -> Budget:
     """Budget of the direct-calibration estimator.
 
-    ``inputs`` must be N_i, N_c, N_s, T (T in ns); the dead time ``tau_ns``
-    is treated as exact.  When ``reference_sensitivities`` maps an input
-    name to an externally quoted coefficient, rows whose computed
+    ``inputs`` are named as in ``INPUT_NAMES["klyshko"]`` (T in ns); the dead
+    time ``tau_ns`` is treated as exact.  When ``reference_sensitivities`` maps
+    an input name to an externally quoted coefficient, rows whose computed
     coefficient deviates by more than 10% carry a note reporting both
     values; the computed one is always the one used.
     """
-    if len(inputs) != 4:
-        raise ValueError("budget_klyshko expects exactly 4 inputs (N_i, N_c, N_s, T)")
-    k = KlyshkoCounts(
-        n_signal=inputs[2].value,
-        n_idler=inputs[0].value,
-        n_coincidence=inputs[1].value,
-        tau_ns=tau_ns,
-        t_ns=inputs[3].value,
-    )
+    k = _counts("klyshko", inputs, tau_ns)
     coeffs = sensitivities_klyshko(k)
-    return Budget(
-        eta_klyshko(k).value, _rows(inputs, coeffs, reference_sensitivities)
-    )
+    return Budget(eta_klyshko(k).value, _rows(inputs, coeffs, reference_sensitivities))
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +260,13 @@ def monte_carlo_uncertainty(
     if callable(estimator):
         func = estimator
     elif estimator == "conditional":
+        _counts("conditional", inputs)
         func = conditional_estimator
     elif estimator == "klyshko":
         if tau_ns is None:
             raise ValueError("klyshko estimator needs tau_ns")
-        func = lambda ni, nc, ns, t: klyshko_estimator(ni, nc, ns, t, tau_ns)
+        _counts("klyshko", inputs, tau_ns)
+        func = lambda *cols: klyshko_estimator(*cols, tau_ns)
     else:
         raise ValueError(f"unknown estimator id {estimator!r}")
 
