@@ -81,7 +81,8 @@ class EventRecords:
     ``channel`` (int8) indexes :data:`CHANNELS`, ``time_ns`` (float64) is
     the detection time and ``origin`` (int8) indexes :data:`ORIGINS`.  Rows
     hold every trigger click in time order, then every analyzer click in
-    time order.  Iterating yields :class:`DetectionRecord` rows.
+    time order.  Iterating yields :class:`DetectionRecord` rows.  Columns of
+    another kind (a list, a float index, integer times) raise ValueError.
     """
 
     channel: np.ndarray
@@ -90,7 +91,14 @@ class EventRecords:
 
     def __post_init__(self):
         columns = [getattr(self, name) for name in DetectionRecord._fields]
-        if any(np.ndim(c) != 1 for c in columns) or len({len(c) for c in columns}) > 1:
+        kinds = (np.integer, np.float64, np.integer)  # of channel, time_ns, origin
+        if not all(
+            isinstance(c, np.ndarray) and np.issubdtype(c.dtype, k) for c, k in zip(columns, kinds)
+        ):
+            raise ValueError(
+                "EventRecords: channel and origin must be integer arrays, time_ns a float64 array"
+            )
+        if any(c.ndim != 1 for c in columns) or len({len(c) for c in columns}) > 1:
             raise ValueError("EventRecords: channel, time_ns and origin must be 1-D and of one length")
         for name, names in (("channel", CHANNELS), ("origin", ORIGINS)):
             index = getattr(self, name)

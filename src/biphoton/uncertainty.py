@@ -11,6 +11,13 @@ cross-check samples the inputs from their stated distributions and returns
 the sample standard deviation of the estimator, which should agree with the
 analytic combined uncertainty in the first-order regime.
 
+The budgets and the Monte Carlo check's scheme ids take inputs named as in
+``INPUT_NAMES``, in that order: ``n_h, n_v, nc_h, nc_v`` (conditional) and
+``n_idler, n_coincidence, n_signal, t_ns`` (Klyshko, T in ns).  Other names
+or another order raise ValueError.  The values then build the scheme's
+counts record (CountSummary or KlyshkoCounts), so the Monte Carlo check
+rejects, with CalibrationError, every count and dead time the record does.
+
 Count standard deviations are always taken as given: measured scatter often
 exceeds the bare Poisson value, so nothing here silently substitutes
 sqrt(rate).  Use :func:`poisson_std` when a plain counting deviation is
@@ -251,7 +258,8 @@ def monte_carlo_uncertainty(
 
     ``estimator`` is either a vectorized callable taking one array per input
     (in the given order) or one of the ids ``"conditional"`` /
-    ``"klyshko"``; the latter needs ``tau_ns``.  Trials run in fixed-size
+    ``"klyshko"``, whose inputs are checked as the budget checks them; the
+    latter needs ``tau_ns``.  Trials run in fixed-size
     blocks with per-block subseeds, so blocks can be evaluated in any order
     (or in parallel) without changing the result.
     """

@@ -606,24 +606,44 @@ def test_write_event_csv_without_records_leaves_the_file(tmp_path):
 @pytest.mark.parametrize(
     "columns, message",
     [
-        ({"channel": [-1]}, "channel must index"),
-        ({"channel": [7]}, "channel must index"),
-        ({"origin": [-1]}, "origin must index"),
-        ({"origin": [3]}, "origin must index"),
-        ({"time_ns": [1.0, 2.0, 3.0], "channel": [0, 1], "origin": [0, 2]}, "one length"),
-        ({"time_ns": [[1.0]], "channel": [[0]], "origin": [[0]]}, "1-D"),
+        ({"channel": np.array([-1], np.int8)}, "channel must index"),
+        ({"channel": np.array([7], np.int8)}, "channel must index"),
+        ({"origin": np.array([-1], np.int8)}, "origin must index"),
+        ({"origin": np.array([3], np.int8)}, "origin must index"),
+        (
+            {
+                "time_ns": np.array([1.0, 2.0, 3.0]),
+                "channel": np.array([0, 1], np.int8),
+                "origin": np.array([0, 2], np.int8),
+            },
+            "one length",
+        ),
+        (
+            {
+                "time_ns": np.array([[1.0]]),
+                "channel": np.array([[0]], np.int8),
+                "origin": np.array([[0]], np.int8),
+            },
+            "1-D",
+        ),
+        ({"channel": np.array([1.0])}, "must be integer arrays"),
+        ({"origin": np.array([True])}, "must be integer arrays"),
+        ({"time_ns": np.array([70000], np.int64)}, "time_ns a float64 array"),
+        ({"time_ns": np.array([5.0e5], np.float32)}, "time_ns a float64 array"),
+        ({"channel": [1]}, "must be integer arrays"),
     ],
 )
 def test_event_records_reject_bad_columns_before_a_file_is_opened(tmp_path, columns, message):
-    dtypes = {"channel": np.int8, "time_ns": float, "origin": np.int8}
-    values = {"channel": [1], "time_ns": [5.0e5], "origin": [2], **columns}
+    values = {
+        "channel": np.array([1], np.int8),
+        "time_ns": np.array([5.0e5]),
+        "origin": np.array([2], np.int8),
+        **columns,
+    }
     path = tmp_path / "events.csv"
     path.write_text("kept\n")
     with pytest.raises(ValueError, match=message):
-        write_event_csv(
-            EventRecords(**{name: np.array(values[name], dtype=dtypes[name]) for name in dtypes}),
-            path,
-        )
+        write_event_csv(EventRecords(**values), path)
     assert path.read_text() == "kept\n"
 
 

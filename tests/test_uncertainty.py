@@ -210,11 +210,20 @@ def test_budget_klyshko_flags_deviating_reference_coefficients(reference_klyshko
     assert "note [n_signal]" in format_budget(budget)
 
 
-def test_budget_input_count_validation(reference_conditional_inputs):
+def test_budget_input_count_validation(reference_conditional_inputs, reference_klyshko_inputs):
     with pytest.raises(ValueError):
         budget_conditional(reference_conditional_inputs[:3])
     with pytest.raises(ValueError):
         budget_klyshko(reference_conditional_inputs[:2], tau_ns=40.0)
+    # the names must match the scheme's order: a swap would flip the sign of eta
+    n_h, n_v, nc_h, nc_v = reference_conditional_inputs
+    misnamed = UncertainInput("n_hh", n_h.value, n_h.std_dev)
+    for inputs in ([n_v, n_h, nc_h, nc_v], [misnamed, n_v, nc_h, nc_v]):
+        with pytest.raises(ValueError, match="must be named"):
+            budget_conditional(inputs)
+    n_i, n_c, n_s, t = reference_klyshko_inputs
+    with pytest.raises(ValueError, match="must be named"):
+        budget_klyshko([n_s, n_i, n_c, t], tau_ns=40.0)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +263,9 @@ def test_monte_carlo_linear_estimator_matches_propagation():
     assert mc == pytest.approx(analytic, rel=0.02)
 
 
-def test_monte_carlo_deterministic_and_validated(reference_conditional_inputs):
+def test_monte_carlo_deterministic_and_validated(
+    reference_conditional_inputs, reference_klyshko_inputs
+):
     a = monte_carlo_uncertainty("conditional", reference_conditional_inputs, 20_000, seed=5)
     b = monte_carlo_uncertainty("conditional", reference_conditional_inputs, 20_000, seed=5)
     assert a == b
@@ -264,6 +275,20 @@ def test_monte_carlo_deterministic_and_validated(reference_conditional_inputs):
         monte_carlo_uncertainty("klyshko", reference_conditional_inputs, 10_000)
     with pytest.raises(ValueError, match="estimator id"):
         monte_carlo_uncertainty("bootstrap", reference_conditional_inputs, 10_000)
+    n_h, n_v, nc_h, nc_v = reference_conditional_inputs
+    with pytest.raises(ValueError, match="must be named"):
+        monte_carlo_uncertainty("conditional", [n_v, n_h, nc_h, nc_v], 10_000)
+    # a dead time the Klyshko budget rejects is rejected the same way here
+    for tau_ns, message in [
+        (math.nan, "tau_ns must be finite"),
+        (math.inf, "tau_ns must be finite"),
+        (-40.0, "tau_ns must be finite"),
+        (1e6, r"n_signal \* tau must be < 1"),
+    ]:
+        with pytest.raises(CalibrationError, match=message):
+            budget_klyshko(reference_klyshko_inputs, tau_ns=tau_ns)
+        with pytest.raises(CalibrationError, match=message):
+            monte_carlo_uncertainty("klyshko", reference_klyshko_inputs, 10_000, tau_ns=tau_ns)
 
 
 def test_vectorized_estimators_agree_with_scalar_reference():
