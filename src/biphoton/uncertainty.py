@@ -259,9 +259,9 @@ def monte_carlo_uncertainty(
     ``estimator`` is either a vectorized callable taking one array per input
     (in the given order) or one of the ids ``"conditional"`` /
     ``"klyshko"``, whose inputs are checked as the budget checks them; the
-    latter needs ``tau_ns``.  Trials run in fixed-size
-    blocks with per-block subseeds, so blocks can be evaluated in any order
-    (or in parallel) without changing the result.
+    latter needs ``tau_ns``.  Trials run in fixed-size blocks with per-block
+    subseeds, so blocks can be evaluated in any order (or in parallel)
+    without changing the result.
     """
     if trials < MIN_MC_TRIALS:
         raise ValueError(f"trials must be >= {MIN_MC_TRIALS}")
