@@ -297,7 +297,9 @@ def tac_coincidences(
 
 def _poisson_stream(rng: np.random.Generator, rate_hz: float, duration_s: float) -> np.ndarray:
     n = rng.poisson(rate_hz * duration_s) if rate_hz > 0 else 0
-    return np.sort(rng.uniform(0.0, duration_s * _NS_PER_S, n))
+    times = rng.uniform(0.0, duration_s * _NS_PER_S, n)
+    times.sort()
+    return times
 
 
 def _pair_stream(
@@ -323,15 +325,28 @@ def _merge_streams(
     """Merge time-ordered (times, tag) streams into one time-ordered (times, tags) pair.
 
     A tag is one integer for the whole stream or an array with one per event.
+    Events at equal times keep stream order.  The later streams (darks,
+    background) are sorted among themselves and inserted into the first (the
+    pair candidates) in one pass, which is cheap while they are few.
     """
-    times = np.concatenate([t for t, _ in streams])
-    tags = np.concatenate(
-        [np.full(len(t), tag, dtype=np.int64) for t, tag in streams]
-    )
-    if sum(1 for t, _ in streams if len(t)) <= 1:
-        return times, tags  # one stream with events is already in order
-    order = np.argsort(times, kind="stable")
-    return times[order], tags[order]
+    times = [t for t, _ in streams]
+    tags = [np.full(len(t), tag, dtype=np.int64) for t, tag in streams]
+    if sum(1 for t in times if len(t)) <= 1:
+        return np.concatenate(times), np.concatenate(tags)  # already in order
+    later_times, later_tags = np.concatenate(times[1:]), np.concatenate(tags[1:])
+    if sum(1 for t in times[1:] if len(t)) > 1:
+        order = np.argsort(later_times, kind="stable")
+        later_times, later_tags = later_times[order], later_tags[order]
+    # a later event goes after every first-stream event at or before its time
+    # and after the later events before it
+    at = np.searchsorted(times[0], later_times, side="right") + np.arange(len(later_times))
+    merged_times = np.empty(len(times[0]) + len(later_times))
+    merged_tags = np.empty(len(merged_times), dtype=np.int64)
+    merged_times[at], merged_tags[at] = later_times, later_tags
+    first = np.ones(len(merged_times), dtype=bool)
+    first[at] = False
+    merged_times[first], merged_tags[first] = times[0], tags[0]
+    return merged_times, merged_tags
 
 
 def _dead_time_filter(times: np.ndarray, dead_ns: float) -> np.ndarray:
@@ -506,7 +521,7 @@ def run_conditional_experiment(
     backgr = _poisson_stream(rng, cfg.background_rate_hz, duration_s)
     analyzer = _detect(
         cfg.det2.dead_time_ns,
-        (t_pairs[cand2] + idler_offset_ns, 0),
+        (t_pairs.compress(cand2) + idler_offset_ns, 0),
         (dark2, 1),
         (backgr, 2),
     )
@@ -534,9 +549,9 @@ def run_klyshko_experiment(
     dark1 = _poisson_stream(rng, cfg.det1.dark_rate_hz, duration_s)
     dark2 = _poisson_stream(rng, cfg.det2.dark_rate_hz, duration_s)
     backgr = _poisson_stream(rng, cfg.background_rate_hz, duration_s)
-    trigger = _detect(cfg.det1.dead_time_ns, (t_pairs[cand1], 0), (dark1, 1))
+    trigger = _detect(cfg.det1.dead_time_ns, (t_pairs.compress(cand1), 0), (dark1, 1))
     analyzer = _detect(
-        cfg.det2.dead_time_ns, (t_pairs[cand2], 0), (dark2, 1), (backgr, 2)
+        cfg.det2.dead_time_ns, (t_pairs.compress(cand2), 0), (dark2, 1), (backgr, 2)
     )
     return _result(cfg, duration_s, seed, trigger, analyzer, 0.0, keep_records)
 

@@ -15,8 +15,10 @@ The budgets and the Monte Carlo check's scheme ids take inputs named as in
 ``INPUT_NAMES``, in that order: ``n_h, n_v, nc_h, nc_v`` (conditional) and
 ``n_idler, n_coincidence, n_signal, t_ns`` (Klyshko, T in ns).  Other names
 or another order raise ValueError.  The values then build the scheme's
-counts record (CountSummary or KlyshkoCounts), so the Monte Carlo check
-rejects, with CalibrationError, every count and dead time the record does.
+counts record (CountSummary or KlyshkoCounts).  The Monte Carlo check's ids
+build the budget of the nominal inputs before sampling, so they reject, with
+CalibrationError, every count and dead time the budget rejects, degenerate
+ones included (zero Pockels contrast, zero Klyshko coincidences).
 
 Count standard deviations are always taken as given: measured scatter often
 exceeds the bare Poisson value, so nothing here silently substitutes
@@ -258,22 +260,22 @@ def monte_carlo_uncertainty(
 
     ``estimator`` is either a vectorized callable taking one array per input
     (in the given order) or one of the ids ``"conditional"`` /
-    ``"klyshko"``, whose inputs are checked as the budget checks them; the
-    latter needs ``tau_ns``.  Trials run in fixed-size blocks with per-block
-    subseeds, so blocks can be evaluated in any order (or in parallel)
-    without changing the result.
+    ``"klyshko"``, which first build the scheme's budget of the nominal
+    inputs and so raise what it raises; the latter needs ``tau_ns``.
+    Trials run in fixed-size blocks with per-block subseeds, so blocks can
+    be evaluated in any order (or in parallel) without changing the result.
     """
     if trials < MIN_MC_TRIALS:
         raise ValueError(f"trials must be >= {MIN_MC_TRIALS}")
     if callable(estimator):
         func = estimator
     elif estimator == "conditional":
-        _counts("conditional", inputs)
+        budget_conditional(inputs)  # the nominal counts raise as the budget does
         func = conditional_estimator
     elif estimator == "klyshko":
         if tau_ns is None:
             raise ValueError("klyshko estimator needs tau_ns")
-        _counts("klyshko", inputs, tau_ns)
+        budget_klyshko(inputs, tau_ns)
         func = lambda *cols: klyshko_estimator(*cols, tau_ns)
     else:
         raise ValueError(f"unknown estimator id {estimator!r}")

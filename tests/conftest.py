@@ -5,9 +5,10 @@ branch enumeration builds its states with raw numpy kron/reshape calls and
 applies the depolarizer as a direct convex mixture, so closure tests compare
 two genuinely different computations.  The engine's vectorized dead-time,
 driver-gate and TAC passes and its column event-CSV writer are checked
-against the plain event loops below, its memoized idler states against
-the unmemoized per-run construction they replace, and its conditional run
-body against the per-group body it replaces.
+against the plain event loops below, its stream merge against the stable
+sort it replaces, its memoized idler states against the unmemoized per-run
+construction they replace, and its conditional and Klyshko run bodies
+against run bodies built from these references.
 """
 
 from __future__ import annotations
@@ -191,6 +192,25 @@ def dead_time_reference(times, dead_ns: float) -> np.ndarray:
     return keep
 
 
+def merge_streams_reference(*streams):
+    """Time-ordered (times, int64 tags) of (times, tag) streams by one stable sort.
+
+    A tag is one integer for the whole stream or an array with one per event.
+    """
+    times = np.concatenate([t for t, _ in streams])
+    tags = np.concatenate([np.full(len(t), tag, dtype=np.int64) for t, tag in streams])
+    order = np.argsort(times, kind="stable")
+    return times[order], tags[order]
+
+
+def detect_reference(dead_ns: float, *streams):
+    """One detector: streams merged by :func:`merge_streams_reference`, then
+    :func:`dead_time_reference`; returns the detected (times, tags)."""
+    times, tags = merge_streams_reference(*streams)
+    keep = dead_time_reference(times, dead_ns)
+    return times[keep], tags[keep]
+
+
 class StreamingDriverGate:
     """The driver's rate protection fed one trigger detection at a time.
 
@@ -294,21 +314,14 @@ def conditional_run_reference(cfg, duration_s: float, seed: int):
     """The conditional run with its idler probability looked up per pair group.
 
     Each pair gets a group index (perp 0, copol 1, pulsed 2) from two boolean
-    scatters, and its idler probability is that group's.  Detection uses a
-    stable sort of the merged streams and :func:`dead_time_reference`, the
-    driver gate is a :class:`StreamingDriverGate` and the coincidences come
+    scatters, and its idler probability is that group's.  Detection is
+    :func:`detect_reference`, the driver gate is a
+    :class:`StreamingDriverGate` and the coincidences come
     from :func:`tac_loop_reference`; only the seeded streams are the
     engine's, so the random draws come in the engine's order.  Returns
     ``(singles_trigger, singles_analyzer, coincidences)`` and the records.
     """
-    from biphoton.simulate import EventRecords, _pair_stream, _poisson_stream
-
-    def detect(dead_ns, *streams):
-        times = np.concatenate([t for t, _ in streams])
-        tags = np.concatenate([np.full(len(t), tag, dtype=np.int64) for t, tag in streams])
-        order = np.argsort(times, kind="stable")
-        keep = dead_time_reference(times[order], dead_ns)
-        return times[order][keep], tags[order][keep]
+    from biphoton.simulate import _pair_stream, _poisson_stream
 
     rng, t_pairs = _pair_stream(cfg, duration_s, seed)
     n_pairs = len(t_pairs)
@@ -318,7 +331,9 @@ def conditional_run_reference(cfg, duration_s: float, seed: int):
     copol = rng.random(n_pairs) < p_pass
     cand1 = copol & (rng.random(n_pairs) < cfg.trigger_projector.transmittance * cfg.det1.eta)
     dark1 = _poisson_stream(rng, cfg.det1.dark_rate_hz, duration_s)
-    t1, pair1 = detect(cfg.det1.dead_time_ns, (t_pairs[cand1], np.flatnonzero(cand1)), (dark1, -1))
+    t1, pair1 = detect_reference(
+        cfg.det1.dead_time_ns, (t_pairs[cand1], np.flatnonzero(cand1)), (dark1, -1)
+    )
     gate = StreamingDriverGate(cfg.driver.rate_threshold_hz, cfg.driver.disable_duration_s)
     fired = np.array([gate.on_detection(t) for t in t1.tolist()], dtype=bool)
     pulsed = np.zeros(n_pairs, dtype=bool)
@@ -331,11 +346,43 @@ def conditional_run_reference(cfg, duration_s: float, seed: int):
     offset = cfg.fiber_delay_ns + cfg.electronic_delay_ns
     dark2 = _poisson_stream(rng, cfg.det2.dark_rate_hz, duration_s)
     backgr = _poisson_stream(rng, cfg.background_rate_hz, duration_s)
-    t2, origin2 = detect(
+    t2, origin2 = detect_reference(
         cfg.det2.dead_time_ns, (t_pairs[cand2] + offset, 0), (dark2, 1), (backgr, 2)
     )
+    return _run_reference_result(cfg, (t1, np.where(pair1 < 0, 1, 0)), (t2, origin2), offset)
+
+
+def klyshko_run_reference(cfg, duration_s: float, seed: int):
+    """The Klyshko run from the references: each arm's pair candidates selected
+    by a boolean mask, detection by :func:`detect_reference` and coincidences
+    by :func:`tac_loop_reference`.  Only the seeded streams are the engine's,
+    so the random draws come in the engine's order.  Returns
+    ``(singles_trigger, singles_analyzer, coincidences)`` and the records.
+    """
+    from biphoton.simulate import _pair_stream, _poisson_stream
+
+    rng, t_pairs = _pair_stream(cfg, duration_s, seed)
+    n_pairs = len(t_pairs)
+    cand1 = rng.random(n_pairs) < cfg.det1.eta
+    cand2 = rng.random(n_pairs) < cfg.idler_path_loss * cfg.det2.eta
+    dark1 = _poisson_stream(rng, cfg.det1.dark_rate_hz, duration_s)
+    dark2 = _poisson_stream(rng, cfg.det2.dark_rate_hz, duration_s)
+    backgr = _poisson_stream(rng, cfg.background_rate_hz, duration_s)
+    trigger = detect_reference(cfg.det1.dead_time_ns, (t_pairs[cand1], 0), (dark1, 1))
+    analyzer = detect_reference(
+        cfg.det2.dead_time_ns, (t_pairs[cand2], 0), (dark2, 1), (backgr, 2)
+    )
+    return _run_reference_result(cfg, trigger, analyzer, 0.0)
+
+
+def _run_reference_result(cfg, trigger, analyzer, start_offset_ns: float):
+    """Counts and records of the detected (times, origin tags) arms, with the
+    TAC start line delayed by ``start_offset_ns``."""
+    from biphoton.simulate import EventRecords
+
+    (t1, origin1), (t2, origin2) = trigger, analyzer
     coincidences = tac_loop_reference(
-        (t1 + offset).tolist(),
+        (t1 + start_offset_ns).tolist(),
         (t2 + cfg.tac.stop_delay_ns).tolist(),
         cfg.tac.window_ns,
         cfg.tac.stop_delay_ns,
@@ -343,7 +390,7 @@ def conditional_run_reference(cfg, duration_s: float, seed: int):
     records = EventRecords(
         channel=np.repeat(np.arange(2, dtype=np.int8), [len(t1), len(t2)]),
         time_ns=np.concatenate([t1, t2]),
-        origin=np.concatenate([np.where(pair1 < 0, 1, 0), origin2]).astype(np.int8),
+        origin=np.concatenate([origin1, origin2]).astype(np.int8),
     )
     return (len(t1), len(t2), coincidences), records
 

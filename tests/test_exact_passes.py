@@ -3,10 +3,12 @@
 Dead time, the driver gate and the TAC run as numpy calls with Python only
 over the events that interact, and the event CSV is written from columns in
 one pass; each is compared here with the one-event-at-a-time loop it
-replaces (in ``conftest``).  Times on a coarse grid make ties and exact hits
-on a window edge common.  The memoized idler states are compared with the
-per-run construction they replace in the same way, and the conditional run,
-records included, with the per-group run body it replaces.
+replaces (in ``conftest``).  The stream merge inserts the later streams into
+the first and is compared with the stable sort it replaces.  Times on a
+coarse grid make ties and exact hits on a window edge common.  The memoized
+idler states are compared with the per-run construction they replace in the
+same way, and the conditional and Klyshko runs, records included, with run
+bodies built from the references.
 """
 
 import math
@@ -24,11 +26,20 @@ from conftest import (
     event_csv_reference,
     idler_detect_probabilities_reference,
     idler_group_states_reference,
+    klyshko_run_reference,
+    merge_streams_reference,
     tac_loop_reference,
     tac_reference,
 )
 from biphoton import simulate
-from biphoton.bench import FAILURE_MODELS, BenchConfig, DetectorParams, DriverPolicy, PockelsParams
+from biphoton.bench import (
+    FAILURE_MODELS,
+    BenchConfig,
+    DetectorParams,
+    DriverPolicy,
+    PockelsParams,
+    TacParams,
+)
 from biphoton.polarization import STATE_KINDS, Projector
 from biphoton.simulate import (
     CHANNELS,
@@ -37,6 +48,7 @@ from biphoton.simulate import (
     EventRecords,
     _ROWS_PER_CHUNK,
     _dead_time_filter,
+    _merge_streams,
     driver_gate,
     tac_coincidences,
     write_event_csv,
@@ -84,6 +96,44 @@ def test_dead_time_matches_loop_on_chains_of_every_length(stream):
     # what survives is spaced by at least the dead time, so a second pass keeps it all
     assert not np.any(kept[1:] < kept[:-1] + dead_ns)
     assert _dead_time_filter(kept, dead_ns).all()
+
+
+@st.composite
+def tagged_streams(draw):
+    """One to four grid-time streams, often empty, each tagged by one integer or
+    by an array of one integer per event (-1 included)."""
+    streams = []
+    for _ in range(draw(st.integers(1, 4))):
+        times = draw(grid_times(30, 20, 0.5))
+        per_event = st.lists(st.integers(-1, 10**6), min_size=len(times), max_size=len(times))
+        tag = draw(st.one_of(st.integers(-1, 3), per_event.map(np.array)))
+        streams.append((times, tag))
+    return streams
+
+
+EMPTY = np.array([])
+_rng = np.random.default_rng(5)
+# on a grid of 200 times, so ties within and across streams are common
+LARGE = [np.sort(_rng.integers(0, 200, n)).astype(float) for n in (3000, 50, 2000)]
+
+
+@settings(max_examples=300)
+@given(tagged_streams())
+@example(streams=[(EMPTY, 0)])
+@example(streams=[(EMPTY, 0), (EMPTY, 1), (EMPTY, 2)])
+@example(streams=[(np.array([1.0, 1.0, 2.0]), np.array([-1, 7, -1]))])
+@example(streams=[(EMPTY, 0), (np.array([1.0, 2.0]), 1), (np.array([0.5, 2.0]), 2)])
+@example(streams=[(np.array([1.0, 2.0]), 0), (EMPTY, 1), (np.array([2.0, 2.0]), 2)])
+@example(streams=[(np.array([1.0, 2.0]), 0), (np.array([2.0, 3.0]), 1), (EMPTY, 2)])
+@example(streams=[(LARGE[0], np.arange(3000)), (LARGE[1], -1)])
+@example(streams=[(LARGE[1], 0), (LARGE[0], 1), (LARGE[2], 2)])
+@example(streams=[(LARGE[2], 0), (EMPTY, 1), (LARGE[0], 2)])
+def test_merge_matches_the_stable_sort(streams):
+    times, tags = _merge_streams(*streams)
+    expected_times, expected_tags = merge_streams_reference(*streams)
+    assert times.dtype == np.float64 and tags.dtype == np.int64
+    assert np.array_equal(times, expected_times)
+    assert np.array_equal(tags, expected_tags)
 
 
 @settings(max_examples=400)
@@ -361,5 +411,48 @@ def conditional_run_configs(draw):
 def test_conditional_run_matches_the_group_reference(cfg, seed):
     res = simulate.run_conditional_experiment(cfg, 0.02, seed, keep_records=True)
     expected_counts, expected_records = conditional_run_reference(cfg, 0.02, seed)
+    assert counts(res) == expected_counts
+    assert res.records == expected_records
+
+
+@st.composite
+def klyshko_run_configs(draw):
+    """Configs over pair rates, dead times (none, the bench's, and long enough to
+    chain at 1e6 pairs/s), darks and background on either arm, and TAC windows."""
+    rates = st.sampled_from([0.0, 2.0e4])
+    dead_times = st.sampled_from([0.0, 45.0, 400.0])
+    return BenchConfig(
+        pair_rate_hz=draw(st.sampled_from([2.0e4, 2.0e5, 1.0e6])),
+        idler_path_loss=draw(st.sampled_from([0.9, 1.0])),
+        det1=DetectorParams(
+            eta=draw(st.sampled_from([0.45, 1.0])),
+            dead_time_ns=draw(dead_times),
+            dark_rate_hz=draw(rates),
+        ),
+        det2=DetectorParams(eta=0.4, dead_time_ns=draw(dead_times), dark_rate_hz=draw(rates)),
+        tac=TacParams(
+            window_ns=draw(st.sampled_from([4.0, 50.0])),
+            stop_delay_ns=draw(st.sampled_from([0.0, 9.3, 45.0])),
+        ),
+        background_rate_hz=draw(rates),
+    )
+
+
+@settings(max_examples=60)
+@given(klyshko_run_configs(), st.integers(0, 2**32))
+@example(
+    # the klyshko_highrate bench, shortened
+    cfg=BenchConfig(
+        pair_rate_hz=1.0e6,
+        idler_path_loss=0.9,
+        det1=DetectorParams(eta=0.45, dead_time_ns=45.0, dark_rate_hz=500.0),
+        det2=DetectorParams(eta=0.4, dead_time_ns=40.0, dark_rate_hz=800.0),
+        background_rate_hz=2000.0,
+    ),
+    seed=0,
+)
+def test_klyshko_run_matches_the_reference(cfg, seed):
+    res = simulate.run_klyshko_experiment(cfg, 0.02, seed, keep_records=True)
+    expected_counts, expected_records = klyshko_run_reference(cfg, 0.02, seed)
     assert counts(res) == expected_counts
     assert res.records == expected_records

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -289,6 +290,18 @@ def test_monte_carlo_deterministic_and_validated(
             budget_klyshko(reference_klyshko_inputs, tau_ns=tau_ns)
         with pytest.raises(CalibrationError, match=message):
             monte_carlo_uncertainty("klyshko", reference_klyshko_inputs, 10_000, tau_ns=tau_ns)
+    # and so are nominal counts whose estimate or sensitivities are undefined
+    zero_contrast = [n_h, n_v, replace(nc_h, value=20.0), replace(nc_v, value=20.0)]
+    n_i, n_c, n_s, t = reference_klyshko_inputs
+    no_coincidences = [n_i, replace(n_c, value=0.0), n_s, t]
+    for scheme, inputs, budget, message in [
+        ("conditional", zero_contrast, budget_conditional, "zero Pockels contrast"),
+        ("klyshko", no_coincidences, partial(budget_klyshko, tau_ns=40.0), "zero coincidences"),
+    ]:
+        with pytest.raises(CalibrationError, match=message):
+            budget(inputs)
+        with pytest.raises(CalibrationError, match=message):
+            monte_carlo_uncertainty(scheme, inputs, 10_000, tau_ns=40.0)
 
 
 def test_vectorized_estimators_agree_with_scalar_reference():
