@@ -20,6 +20,10 @@ FAILURE_MODELS = ("uniform_depolarizer", "bernoulli_identity")
 
 _ANGLE_ATOL = 1e-9
 _AMPLITUDE_ATOL = 1e-12
+# Event times are float ns.  Two delays at this bound (one second each) keep
+# the float spacing of a delayed time in a short run near 2.4e-7 ns, far below
+# the 4 ns TAC window; at 1e300 ns every idler time rounds to one float.
+MAX_DELAY_NS = 1.0e9
 
 
 class ConfigError(ValueError):
@@ -146,8 +150,8 @@ class TacParams:
     def __post_init__(self):
         if not 0 < self.window_ns < math.inf:
             raise ConfigError("TacParams: window_ns must be finite and > 0")
-        if not _finite_nonneg(self.stop_delay_ns):
-            raise ConfigError("TacParams: stop_delay_ns must be finite and >= 0")
+        if not 0.0 <= self.stop_delay_ns <= MAX_DELAY_NS:
+            raise ConfigError(f"TacParams: stop_delay_ns must be finite and in [0, {MAX_DELAY_NS:g}]")
 
 
 @dataclass(frozen=True)
@@ -189,9 +193,10 @@ class BenchConfig:
         if not 0.0 <= self.idler_path_loss <= 1.0:
             raise ConfigError("BenchConfig: idler_path_loss outside [0, 1]")
         if not (
-            _finite_nonneg(self.fiber_delay_ns) and _finite_nonneg(self.electronic_delay_ns)
+            0.0 <= self.fiber_delay_ns <= MAX_DELAY_NS
+            and 0.0 <= self.electronic_delay_ns <= MAX_DELAY_NS
         ):
-            raise ConfigError("BenchConfig: delays must be finite and >= 0")
+            raise ConfigError(f"BenchConfig: delays must be finite and in [0, {MAX_DELAY_NS:g}] ns")
         if not _finite_nonneg(self.background_rate_hz):
             raise ConfigError("BenchConfig: background_rate_hz must be finite and >= 0")
 

@@ -296,8 +296,9 @@ def tac_coincidences(
 
 
 def _poisson_stream(rng: np.random.Generator, rate_hz: float, duration_s: float) -> np.ndarray:
-    n = rng.poisson(rate_hz * duration_s) if rate_hz > 0 else 0
-    times = rng.uniform(0.0, duration_s * _NS_PER_S, n)
+    if not rate_hz > 0:
+        return np.empty(0)
+    times = rng.uniform(0.0, duration_s * _NS_PER_S, rng.poisson(rate_hz * duration_s))
     times.sort()
     return times
 
@@ -450,14 +451,22 @@ def _trigger_conditioned(source_kind: str, state_visibility: float, trigger_angl
 
 
 @lru_cache(maxsize=1)
+def _depolarized(trigger: tuple, q: float):
+    """depolarizer(q) and the depolarized perp and copol states, which no delay changes."""
+    _, rho_perp, rho_copol = _trigger_conditioned(*trigger)
+    depol = depolarizer(q)
+    return depol, apply_channel(rho_perp, depol), apply_channel(rho_copol, depol)
+
+
+@lru_cache(maxsize=1)
 def _group_states(trigger: tuple, phi: float, failure_model: str, q: float, p_ok: float):
     """Idler states of the groups (perp, copol, copol rotated by phi) and p_pass; the
     bernoulli_identity success branch (probability p_ok) is an exact mixture."""
     p_pass, rho_perp, rho_copol = _trigger_conditioned(*trigger)
     rotated = apply_channel(rho_copol, rotator(phi))
     if failure_model == "uniform_depolarizer":
-        depol = depolarizer(q)
-        return tuple(apply_channel(rho, depol) for rho in (rho_perp, rho_copol, rotated)), p_pass
+        depol, perp, copol = _depolarized(trigger, q)
+        return (perp, copol, apply_channel(rotated, depol)), p_pass
     mixed = p_ok * rotated.matrix + (1.0 - p_ok) * rho_copol.matrix
     return (rho_perp, rho_copol, PolarizationDensity(mixed)), p_pass
 

@@ -1,9 +1,11 @@
+import math
 from dataclasses import replace
 
 import pytest
 
 from conftest import enumerate_conditional_rates
 from biphoton.bench import (
+    MAX_DELAY_NS,
     BenchConfig,
     ConfigError,
     DetectorParams,
@@ -123,6 +125,17 @@ def test_config_validation_errors():
         DriverPolicy(rate_threshold_hz=nan)
     with pytest.raises(ConfigError, match="disable_duration"):
         DriverPolicy(disable_duration_s=nan)
+    # a delay is valid up to MAX_DELAY_NS; above it the float event times
+    # would round coarser than the TAC window
+    BenchConfig(fiber_delay_ns=MAX_DELAY_NS, electronic_delay_ns=MAX_DELAY_NS)
+    TacParams(stop_delay_ns=MAX_DELAY_NS)
+    for bad in (math.nextafter(MAX_DELAY_NS, inf), 1e17, 1e300):
+        with pytest.raises(ConfigError, match="delays"):
+            BenchConfig(fiber_delay_ns=bad)
+        with pytest.raises(ConfigError, match="delays"):
+            BenchConfig(electronic_delay_ns=bad)
+        with pytest.raises(ConfigError, match="stop_delay_ns"):
+            TacParams(stop_delay_ns=bad)
 
 
 def test_bernoulli_success_probability():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from biphoton.bench import (
     FAILURE_MODELS,
+    MAX_DELAY_NS,
     BenchConfig,
     ConfigError,
     DetectorParams,
@@ -29,6 +30,7 @@ DEMO_SCENARIO = Path(__file__).resolve().parents[1] / "demos" / "data" / "bench_
 _unit = st.floats(0.0, 1.0)
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _nonneg = st.floats(min_value=0.0, allow_infinity=False)
+_delays = st.floats(0.0, MAX_DELAY_NS)
 _projectors = st.builds(Projector, _finite, _unit)
 _detectors = st.builds(DetectorParams, _unit, _nonneg, _nonneg)
 # Every valid BenchConfig, including the infinite driver settings it accepts.
@@ -41,8 +43,8 @@ valid_configs = st.builds(
     trigger_projector=_projectors,
     analyzer=_projectors,
     pockels=st.builds(PockelsParams, _unit, st.sampled_from(FAILURE_MODELS), _finite),
-    fiber_delay_ns=_nonneg,
-    electronic_delay_ns=_nonneg,
+    fiber_delay_ns=_delays,
+    electronic_delay_ns=_delays,
     pulse=st.builds(PulseShape, _nonneg, _nonneg, _nonneg),
     driver=st.builds(
         DriverPolicy, st.floats(min_value=0.0, exclude_min=True), st.floats(min_value=0.0)
@@ -50,7 +52,7 @@ valid_configs = st.builds(
     det1=_detectors,
     det2=_detectors,
     tac=st.builds(
-        TacParams, st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), _nonneg
+        TacParams, st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), _delays
     ),
     background_rate_hz=_nonneg,
 )

@@ -8,6 +8,7 @@ import pytest
 from conftest import idler_group_states_reference, poisson_visibility_sigma, tac_reference
 from biphoton import simulate
 from biphoton.bench import (
+    MAX_DELAY_NS,
     BenchConfig,
     DetectorParams,
     PockelsParams,
@@ -554,20 +555,45 @@ def counted_calls(monkeypatch, *names):
 
         monkeypatch.setattr(simulate, name, counting)
     simulate._trigger_conditioned.cache_clear()
+    simulate._depolarized.cache_clear()
     simulate._group_states.cache_clear()
     return calls
 
 
 def test_scans_build_each_idler_state_once(monkeypatch):
+    names = ("make_state", "rotator", "depolarizer", "apply_channel")
     cfg = closure_config()
-    calls = counted_calls(monkeypatch, "make_state", "rotator")
+    calls = counted_calls(monkeypatch, *names)
     scan_theta(cfg, np.arange(0.0, 181.0, 10.0), 0.01, 1)
-    assert calls == {"make_state": 1, "rotator": 1}
+    assert calls == {"make_state": 1, "rotator": 1, "depolarizer": 1, "apply_channel": 4}
     # 0 and 2000 ns give two rotation angles, 3700 and 4000 ns, both after
-    # the pulse, share phi = 0; H and V at one delay share theirs
-    calls = counted_calls(monkeypatch, "make_state", "rotator")
+    # the pulse, share phi = 0; H and V at one delay share theirs.  Per phi
+    # only the rotated state is built: a rotation and one depolarization.
+    calls = counted_calls(monkeypatch, *names)
     scan_delay(cfg, [0.0, 2000.0, 3700.0, 4000.0], 0.01, 1)
-    assert calls == {"make_state": 1, "rotator": 3}
+    assert calls == {"make_state": 1, "rotator": 3, "depolarizer": 1, "apply_channel": 2 + 2 * 3}
+    bernoulli = replace(cfg, pockels=PockelsParams(q=0.3, failure_model="bernoulli_identity"))
+    calls = counted_calls(monkeypatch, *names)
+    scan_delay(bernoulli, [0.0, 2000.0, 3700.0, 4000.0], 0.01, 1)
+    assert calls == {"make_state": 1, "rotator": 3, "apply_channel": 3}
+
+
+def test_zero_rate_stream_is_empty_and_draws_nothing():
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    times = simulate._poisson_stream(rng, 0.0, 1.0)
+    assert times.dtype == np.float64 and times.shape == (0,)
+    assert rng.bit_generator.state == before
+
+
+def test_delays_at_the_bound_keep_the_counts():
+    # past the pulse phi = 0 at any delay, and the TAC compensates the idler's
+    # path offset, so a delay at MAX_DELAY_NS gives the counts of a short one
+    cfg = closure_config()
+    short = counts(run_conditional_experiment(replace(cfg, electronic_delay_ns=3700.0), 0.5, 3))
+    for fiber, electronic in ((cfg.fiber_delay_ns, MAX_DELAY_NS), (MAX_DELAY_NS, MAX_DELAY_NS)):
+        far = replace(cfg, fiber_delay_ns=fiber, electronic_delay_ns=electronic)
+        assert counts(run_conditional_experiment(far, 0.5, 3)) == short
 
 
 @pytest.mark.parametrize(
