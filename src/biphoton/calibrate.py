@@ -174,11 +174,18 @@ def drift_rescale(
     """Rescale all rates by reference/observed to undo a source-power drift.
 
     The reference ratio is an explicit input; nothing here tries to infer
-    it from the data.
+    it from the data.  Both references must be finite and > 0, with a ratio
+    that is too.
     """
-    if reference_singles <= 0 or observed_singles <= 0:
-        raise CalibrationError("drift_rescale: singles references must be > 0")
+    references = {"reference_singles": reference_singles, "observed_singles": observed_singles}
+    for name, value in references.items():
+        if not 0 < value < math.inf:
+            raise CalibrationError(f"drift_rescale: {name} must be finite and > 0")
     k = reference_singles / observed_singles
+    if not 0 < k < math.inf:
+        raise CalibrationError(
+            "drift_rescale: reference_singles / observed_singles is out of floating-point range"
+        )
     return CountSummary(**{f.name: getattr(c, f.name) * k for f in fields(c)})
 
 

@@ -17,10 +17,11 @@ counts merge by summation.
 
 Per pair, outcome probabilities come from the exact conditional states of
 :mod:`biphoton.polarization` (no small-angle shortcuts).  The idler samples
-the amplitude of its *own* trigger's pulse; overlap of a photon with a pulse
-fired by a different pair is outside this model, which keeps the engine
-consistent with the closed forms of :mod:`biphoton.bench` and is a small
-correction at the sub-10-kHz trigger rates the driver policy enforces.
+the amplitude of its *own* trigger's pulse only, which keeps the engine
+consistent with the closed forms of :mod:`biphoton.bench`.  Idlers inside a
+pulse fired for another pair are outside this model.  That hides a bias a
+standalone model (ROADMAP item 13) puts at -0.9% of eta_cond at 4.8 kHz of
+triggers (about 3 sigma of a 120 s sample) and -1.8% at the 10 kHz gate.
 Detector dead time is non-paralyzable, and dark/background events are
 injected as ready-made detection rates on their channel, subject only to
 dead time.
@@ -335,19 +336,11 @@ def _merge_streams(
     if sum(1 for t in times if len(t)) <= 1:
         return np.concatenate(times), np.concatenate(tags)  # already in order
     later_times, later_tags = np.concatenate(times[1:]), np.concatenate(tags[1:])
-    if sum(1 for t in times[1:] if len(t)) > 1:
-        order = np.argsort(later_times, kind="stable")
-        later_times, later_tags = later_times[order], later_tags[order]
-    # a later event goes after every first-stream event at or before its time
-    # and after the later events before it
-    at = np.searchsorted(times[0], later_times, side="right") + np.arange(len(later_times))
-    merged_times = np.empty(len(times[0]) + len(later_times))
-    merged_tags = np.empty(len(merged_times), dtype=np.int64)
-    merged_times[at], merged_tags[at] = later_times, later_tags
-    first = np.ones(len(merged_times), dtype=bool)
-    first[at] = False
-    merged_times[first], merged_tags[first] = times[0], tags[0]
-    return merged_times, merged_tags
+    order = np.argsort(later_times, kind="stable")
+    later_times, later_tags = later_times[order], later_tags[order]
+    # after the first-stream events at or before it; np.insert keeps ties in order
+    at = np.searchsorted(times[0], later_times, side="right")
+    return np.insert(times[0], at, later_times), np.insert(tags[0], at, later_tags)
 
 
 def _dead_time_filter(times: np.ndarray, dead_ns: float) -> np.ndarray:
@@ -441,34 +434,31 @@ def _result(
 
 
 @lru_cache(maxsize=1)
-def _trigger_conditioned(source_kind: str, state_visibility: float, trigger_angle_deg: float):
-    """(p_pass, rho_perp, rho_copol): the trigger-pass probability (transmittance
-    excluded) and the idler state behind a blocked and a passed trigger photon."""
+def _angle_independent_states(trigger: tuple, failure_model: str, q: float):
+    """(p_pass, rho_copol, channel, perp, copol), which no rotation angle changes: the
+    trigger-pass probability (transmittance excluded), the copol state the pulse rotates,
+    the channel applied after the rotation (None under bernoulli_identity) and the idler
+    states behind a blocked and a passed trigger photon, after that channel."""
+    source_kind, state_visibility, trigger_angle_deg = trigger
     joint = make_state(source_kind, state_visibility)
     p_pass, rho_copol = conditional_state(joint, Projector(trigger_angle_deg))
     _, rho_perp = conditional_state(joint, Projector(trigger_angle_deg + 90.0))
-    return p_pass, rho_perp, rho_copol
-
-
-@lru_cache(maxsize=1)
-def _depolarized(trigger: tuple, q: float):
-    """depolarizer(q) and the depolarized perp and copol states, which no delay changes."""
-    _, rho_perp, rho_copol = _trigger_conditioned(*trigger)
+    if failure_model != "uniform_depolarizer":
+        return p_pass, rho_copol, None, rho_perp, rho_copol
     depol = depolarizer(q)
-    return depol, apply_channel(rho_perp, depol), apply_channel(rho_copol, depol)
+    return p_pass, rho_copol, depol, apply_channel(rho_perp, depol), apply_channel(rho_copol, depol)
 
 
 @lru_cache(maxsize=1)
 def _group_states(trigger: tuple, phi: float, failure_model: str, q: float, p_ok: float):
     """Idler states of the groups (perp, copol, copol rotated by phi) and p_pass; the
     bernoulli_identity success branch (probability p_ok) is an exact mixture."""
-    p_pass, rho_perp, rho_copol = _trigger_conditioned(*trigger)
+    p_pass, rho_copol, channel, perp, copol = _angle_independent_states(trigger, failure_model, q)
     rotated = apply_channel(rho_copol, rotator(phi))
-    if failure_model == "uniform_depolarizer":
-        depol, perp, copol = _depolarized(trigger, q)
-        return (perp, copol, apply_channel(rotated, depol)), p_pass
+    if channel is not None:
+        return (perp, copol, apply_channel(rotated, channel)), p_pass
     mixed = p_ok * rotated.matrix + (1.0 - p_ok) * rho_copol.matrix
-    return (rho_perp, rho_copol, PolarizationDensity(mixed)), p_pass
+    return (perp, copol, PolarizationDensity(mixed)), p_pass
 
 
 def _idler_group_states(cfg: BenchConfig) -> tuple[tuple[PolarizationDensity, ...], float]:

@@ -140,7 +140,7 @@ def sensitivities_conditional(c: CountSummary) -> tuple[float, float, float, flo
     s = c.n_v + c.n_h
     d = c.nc_v - c.nc_h
     if s == 0 or d == 0:
-        raise ValueError("sensitivities undefined: degenerate counts")
+        raise CalibrationError("sensitivities undefined: degenerate counts")
     vis = (c.n_v - c.n_h) / s
     con = (c.nc_v + c.nc_h) / d
     return (

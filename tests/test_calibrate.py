@@ -238,6 +238,24 @@ def test_drift_rescale_scales_every_field():
         assert getattr(scaled, f.name) == getattr(c, f.name) * 2.5, f.name
 
 
+@pytest.mark.parametrize(
+    "reference, observed, message",
+    [
+        (1.0, math.inf, "observed_singles must be finite"),
+        (math.inf, 1.0, "reference_singles must be finite"),
+        (math.nan, 1.0, "reference_singles must be finite"),
+        (1.0, math.nan, "observed_singles must be finite"),
+        (0.0, 1.0, "reference_singles must be finite and > 0"),
+        (1.0, -2.0, "observed_singles must be finite and > 0"),
+        (1e300, 1e-300, "out of floating-point range"),
+        (1e-300, 1e300, "out of floating-point range"),
+    ],
+)
+def test_drift_rescale_rejects_references_out_of_range(reference, observed, message):
+    with pytest.raises(CalibrationError, match=message):
+        drift_rescale(CountSummary(100.0, 200.0, 5.0, 40.0), reference, observed)
+
+
 _rates = st.floats(1e-3, 1e7)
 
 

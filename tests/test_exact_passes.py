@@ -125,6 +125,13 @@ LARGE = [np.sort(_rng.integers(0, 200, n)).astype(float) for n in (3000, 50, 200
 @example(streams=[(EMPTY, 0), (np.array([1.0, 2.0]), 1), (np.array([0.5, 2.0]), 2)])
 @example(streams=[(np.array([1.0, 2.0]), 0), (EMPTY, 1), (np.array([2.0, 2.0]), 2)])
 @example(streams=[(np.array([1.0, 2.0]), 0), (np.array([2.0, 3.0]), 1), (EMPTY, 2)])
+# one later event takes np.insert's scalar branch: tied with a pair time, before
+# and after every pair.  An empty first stream takes the insertion path only
+# with events in two later streams, here one each.
+@example(streams=[(np.array([1.0, 2.0, 2.0, 3.0]), 0), (np.array([2.0]), 1)])
+@example(streams=[(np.array([1.0, 2.0]), np.array([4, 9])), (np.array([0.5]), -1)])
+@example(streams=[(np.array([1.0, 2.0]), 0), (EMPTY, 1), (np.array([2.5]), 2)])
+@example(streams=[(EMPTY, 0), (np.array([1.0]), 1), (np.array([0.5]), 2)])
 @example(streams=[(LARGE[0], np.arange(3000)), (LARGE[1], -1)])
 @example(streams=[(LARGE[1], 0), (LARGE[0], 1), (LARGE[2], 2)])
 @example(streams=[(LARGE[2], 0), (EMPTY, 1), (LARGE[0], 2)])

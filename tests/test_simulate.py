@@ -554,8 +554,7 @@ def counted_calls(monkeypatch, *names):
             return _real(*args)
 
         monkeypatch.setattr(simulate, name, counting)
-    simulate._trigger_conditioned.cache_clear()
-    simulate._depolarized.cache_clear()
+    simulate._angle_independent_states.cache_clear()
     simulate._group_states.cache_clear()
     return calls
 

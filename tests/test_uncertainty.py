@@ -108,6 +108,13 @@ def test_conditional_sensitivities_symmetric_counts():
     assert c3 == 0.0 and c4 == 0.0
 
 
+@pytest.mark.parametrize("c", [CountSummary(1, 1, 2, 2), CountSummary(0, 0, 1, 2)])
+def test_conditional_sensitivities_reject_degenerate_counts(c):
+    # equal coincidences (zero Pockels contrast) or zero singles
+    with pytest.raises(CalibrationError, match="degenerate counts"):
+        sensitivities_conditional(c)
+
+
 def test_klyshko_sensitivities_match_finite_differences():
     def estimator(n_i, n_c, n_s, t_ns):
         return eta_klyshko(KlyshkoCounts(n_s, n_i, n_c, 40.0, t_ns)).value
