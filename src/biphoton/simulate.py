@@ -51,7 +51,9 @@ CHANNELS = ("trigger", "analyzer")
 ORIGINS = ("pair", "dark", "background")
 
 _NS_PER_S = 1.0e9
-# At about 42 bytes per pair, a run of this many expected events peaks near 2 GiB.
+# A run peaks at about 32 bytes per pair (conditional; Klyshko 24, 27 with
+# records; traced with tracemalloc at 1e6 pairs), so a run of this many
+# expected events peaks near 1.5 GiB.
 MAX_EXPECTED_EVENTS = 5.0e7
 
 
@@ -69,9 +71,10 @@ class DetectionRecord(NamedTuple):
 
 _CHANNEL_NAMES = np.array(CHANNELS, dtype=object)
 _ORIGIN_NAMES = np.array(ORIGINS, dtype=object)
-# Rows are turned into Python objects, or into the event CSV writer's byte
-# matrix, this many at a time, so that a large record set never holds a
-# Python object or a padded text row for every row at once.
+# Long columns are walked this many rows at a time: records turned into
+# Python objects or into the event CSV writer's byte matrix, the TAC's starts
+# and the stream checks' comparisons.  So no temporary, Python object or
+# padded text row is held for every row of a run at once.
 _ROWS_PER_CHUNK = 1 << 14
 
 
@@ -180,10 +183,24 @@ def subseed(seed: int, *path: int) -> int:
     return int(state[0]) << 32 | int(state[1])
 
 
+def _ordered(times: np.ndarray) -> bool:
+    """Whether ``times`` never steps back (False next to a NaN), compared a slice
+    at a time, so that the mask is the size of a slice, not of the stream."""
+    if len(times) <= _ROWS_PER_CHUNK + 1:
+        return bool((times[1:] >= times[:-1]).all())
+    # slices that overlap by one event
+    return all(
+        _ordered(times[a : a + _ROWS_PER_CHUNK + 1])
+        for a in range(0, len(times) - 1, _ROWS_PER_CHUNK)
+    )
+
+
 def _check_stream(what: str, times: np.ndarray) -> None:
-    """Raise ValueError unless ``times`` is finite and time-ordered."""
+    """Raise ValueError unless ``times`` is 1-D, finite and time-ordered."""
+    if times.ndim != 1:
+        raise ValueError(f"{what} must be 1-D, got {times.ndim} dimensions")
     if times.size and not (
-        (times[1:] >= times[:-1]).all()  # False next to a NaN
+        _ordered(times)
         and math.isfinite(times[0])
         and math.isfinite(times[-1])
     ):
@@ -245,50 +262,63 @@ def tac_coincidences(
         raise ValueError("tac_coincidences: window_ns must be finite and > 0")
     if not math.isfinite(stop_delay_ns):
         raise ValueError("tac_coincidences: stop_delay_ns must be finite")
-    m = len(stops)
-    if not starts.size or not m:
+    n, m = len(starts), len(stops)
+    if not n or not m:
         return 0
     half = window_ns / 2.0
-    hi = starts + stop_delay_ns  # the window centre, until widened in place
-    lo = hi - half
-    hi += half
-    # first stop >= lo, searched from the stops' side: a stop is below lo[i]
-    # exactly for the i at and after its insertion point in lo, so first[i]
-    # counts the insertion points at or before i
-    first = np.bincount(np.searchsorted(lo, stops, side="right"), minlength=len(lo) + 1)[:-1]
-    np.cumsum(first, out=first)
-    # what each start counts when the converter is idle and no earlier stop
-    # is taken at or beyond ``first``
-    matched = (first < m) & (stops[np.minimum(first, m - 1)] <= hi)
-    # After start i-1 the converter is busy until at most max(t, hi) of i-1
-    # and has taken no stop beyond hi of i-1, so start i is independent of
-    # every earlier start unless it falls inside either bound.
-    dependent = 1 + np.flatnonzero(
-        (starts[1:] < np.maximum(starts[:-1], hi[:-1])) | (lo[1:] <= hi[:-1])
-    )
-    count = int(np.count_nonzero(matched))
-    if not dependent.size:
-        return count
-    # replay each run of dependent starts from an idle converter, starting at
-    # the independent start just before the run
-    replay = np.union1d(dependent - 1, dependent)
-    count -= int(np.count_nonzero(matched[replay]))
-    prev = -2
-    for i, t, t_hi, f in zip(
-        replay.tolist(), starts[replay].tolist(), hi[replay].tolist(), first[replay].tolist()
-    ):
-        if i != prev + 1:
-            busy_until, j = -math.inf, f
-        prev = i
-        if t < busy_until:
+    count = 0
+    prev = -2  # the last start replayed
+    for a in range(0, n, _ROWS_PER_CHUNK):
+        # the slice and, after the first, the start before it
+        lead = min(a, 1)
+        sliced = starts[a - lead : a + _ROWS_PER_CHUNK]
+        hi = sliced + stop_delay_ns  # the window centre, until widened in place
+        lo = hi - half
+        hi += half
+        # first stop >= lo; across several slices, two scalar searches first
+        # bound it by the slice's first and last window opening
+        f0, f1 = 0, m
+        if len(sliced) < n:
+            f0, f1 = np.searchsorted(stops, lo[0]), np.searchsorted(stops, lo[-1])
+        first = np.searchsorted(stops[f0:f1], lo)
+        first += f0
+        # what each start counts when the converter is idle and no earlier
+        # stop is taken at or beyond ``first``
+        matched = (first < m) & (stops[np.minimum(first, m - 1)] <= hi)
+        count += int(np.count_nonzero(matched[lead:]))
+        # After start i-1 the converter is busy until at most max(t, hi) of
+        # i-1 and has taken no stop beyond hi of i-1, so start i is
+        # independent of every earlier start unless it falls inside either bound.
+        dependent = 1 + np.flatnonzero(
+            (sliced[1:] < np.maximum(sliced[:-1], hi[:-1])) | (lo[1:] <= hi[:-1])
+        )
+        if not dependent.size:
             continue
-        j = max(j, f)
-        if j < m and stops[j] <= t_hi:
-            count += 1
-            busy_until = max(t, float(stops[j]))
-            j += 1
-        else:
-            busy_until = t_hi
+        # replay each run of dependent starts from an idle converter, starting
+        # at the independent start just before the run; a run that the slice
+        # before left open goes on from where it stopped
+        replay = np.union1d(dependent - 1, dependent)
+        if a - lead + int(replay[0]) == prev:
+            replay = replay[1:]
+        count -= int(np.count_nonzero(matched[replay]))
+        for i, t, t_hi, f in zip(
+            (replay + (a - lead)).tolist(),
+            sliced[replay].tolist(),
+            hi[replay].tolist(),
+            first[replay].tolist(),
+        ):
+            if i != prev + 1:
+                busy_until, j = -math.inf, f
+            prev = i
+            if t < busy_until:
+                continue
+            j = max(j, f)
+            if j < m and stops[j] <= t_hi:
+                count += 1
+                busy_until = max(t, float(stops[j]))
+                j += 1
+            else:
+                busy_until = t_hi
     return count
 
 
@@ -327,12 +357,15 @@ def _merge_streams(
     """Merge time-ordered (times, tag) streams into one time-ordered (times, tags) pair.
 
     A tag is one integer for the whole stream or an array with one per event.
+    Tags are int8, the dtype of :attr:`EventRecords.origin`, unless a stream
+    tags its events with an array (pair indices), which makes them all int64.
     Events at equal times keep stream order.  The later streams (darks,
     background) are sorted among themselves and inserted into the first (the
     pair candidates) in one pass, which is cheap while they are few.
     """
     times = [t for t, _ in streams]
-    tags = [np.full(len(t), tag, dtype=np.int64) for t, tag in streams]
+    dtype = np.int64 if any(isinstance(tag, np.ndarray) for _, tag in streams) else np.int8
+    tags = [np.full(len(t), tag, dtype=dtype) for t, tag in streams]
     if sum(1 for t in times if len(t)) <= 1:
         return np.concatenate(times), np.concatenate(tags)  # already in order
     later_times, later_tags = np.concatenate(times[1:]), np.concatenate(tags[1:])
@@ -387,13 +420,13 @@ def _detect(
 
 
 def _records_for(*arms: tuple[np.ndarray, np.ndarray]) -> EventRecords:
-    """Records of the detected (times, origin tags) arms, in CHANNELS order."""
+    """Records of the detected (times, int8 origin tags) arms, in CHANNELS order."""
     return EventRecords(
         channel=np.repeat(
             np.arange(len(arms), dtype=np.int8), [len(t) for t, _ in arms]
         ),
         time_ns=np.concatenate([t for t, _ in arms]),
-        origin=np.concatenate([tags for _, tags in arms]).astype(np.int8),
+        origin=np.concatenate([tags for _, tags in arms]),
     )
 
 
@@ -524,7 +557,7 @@ def run_conditional_experiment(
         (dark2, 1),
         (backgr, 2),
     )
-    trigger = (t_det1, np.where(pair_det1 < 0, 1, 0))
+    trigger = (t_det1, (pair_det1 < 0).view(np.int8))  # a dark's origin is 1
     return _result(cfg, duration_s, seed, trigger, analyzer, idler_offset_ns, keep_records)
 
 

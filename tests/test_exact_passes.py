@@ -13,6 +13,7 @@ bodies built from the references.
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -138,7 +139,9 @@ LARGE = [np.sort(_rng.integers(0, 200, n)).astype(float) for n in (3000, 50, 200
 def test_merge_matches_the_stable_sort(streams):
     times, tags = _merge_streams(*streams)
     expected_times, expected_tags = merge_streams_reference(*streams)
-    assert times.dtype == np.float64 and tags.dtype == np.int64
+    # origin tags are one byte, as EventRecords stores them; pair indices need int64
+    pair_indices = any(isinstance(tag, np.ndarray) for _, tag in streams)
+    assert times.dtype == np.float64 and tags.dtype == (np.int64 if pair_indices else np.int8)
     assert np.array_equal(times, expected_times)
     assert np.array_equal(tags, expected_tags)
 
@@ -177,8 +180,7 @@ def test_driver_gate_walks_several_disable_episodes():
     assert fired.tolist() == ([True] * 5 + [False] * 3 + [True]) * 3
 
 
-@settings(max_examples=400)
-@given(
+TAC_STREAMS = (
     grid_times(50, 120, 0.5),
     grid_times(50, 120, 0.5, st.sampled_from([0.0, 0.25, 0.3])),
     st.sampled_from([0.5, 1.0, 4.0, 9.0, 30.0]),
@@ -187,11 +189,27 @@ def test_driver_gate_walks_several_disable_episodes():
         st.floats(-60.0, 60.0),
     ),
 )
+
+
+@settings(max_examples=400)
+@given(*TAC_STREAMS)
 def test_tac_matches_loops_for_any_stop_delay(starts, stops, window_ns, stop_delay_ns):
     got = tac_coincidences(starts, stops, window_ns, stop_delay_ns)
     assert got == tac_loop_reference(starts.tolist(), stops.tolist(), window_ns, stop_delay_ns)
     assert got == tac_reference(starts.tolist(), stops.tolist(), window_ns, stop_delay_ns)
     assert got <= min(len(starts), len(stops))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+@settings(max_examples=200)
+@given(*TAC_STREAMS)
+def test_tac_matches_loops_in_slices_of_a_few_starts(rows, starts, stops, window_ns, stop_delay_ns):
+    # runs of dependent starts, and the start before each run, fall on every
+    # side of a slice edge
+    with mock.patch.object(simulate, "_ROWS_PER_CHUNK", rows):
+        got = tac_coincidences(starts, stops, window_ns, stop_delay_ns)
+    assert got == tac_loop_reference(starts.tolist(), stops.tolist(), window_ns, stop_delay_ns)
+    assert got == tac_reference(starts.tolist(), stops.tolist(), window_ns, stop_delay_ns)
 
 
 def test_tac_matches_loop_on_dense_random_streams():
@@ -207,6 +225,23 @@ def test_tac_matches_loop_on_dense_random_streams():
             got = tac_coincidences(starts, stops, window_ns, stop_delay_ns)
             assert got == tac_loop_reference(starts.tolist(), stops.tolist(), window_ns, stop_delay_ns)
             assert got > 0
+
+
+def test_tac_matches_loop_across_slice_edges():
+    # several full slices of bench-like starts, with a burst of starts closer
+    # than the window at three slice edges: one whose head is the last start
+    # of a slice, one that straddles the edge, and one that ends before it
+    rng = np.random.default_rng(12)
+    gaps = rng.exponential(2.0e3, 3 * _ROWS_PER_CHUNK + 5_000)  # gaps[i] leads to start i
+    for k, (first, last) in enumerate(((0, 6), (-4, 5), (-7, 0)), start=1):
+        edge = k * _ROWS_PER_CHUNK
+        gaps[edge + first : edge + last] = rng.choice([0.0, 1.0, 2.5], last - first)
+    starts = np.cumsum(gaps)
+    stops = np.sort(np.concatenate([starts[::2] + 9.3, rng.uniform(0.0, starts[-1], 20_000)]))
+    for window_ns, stop_delay_ns in ((4.0, 9.3), (8.0, 0.0), (20.0, -15.0)):
+        got = tac_coincidences(starts, stops, window_ns, stop_delay_ns)
+        assert got == tac_loop_reference(starts.tolist(), stops.tolist(), window_ns, stop_delay_ns)
+        assert got > 0
 
 
 def test_tac_with_every_stop_outside_every_window():

@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -315,6 +317,9 @@ def test_driver_gate_rejects_unordered_detections_and_bad_policy():
     for rate, disable in ((0.0, 1.0), (math.nan, 1.0), (10.0, -1.0), (10.0, math.nan)):
         with pytest.raises(ValueError, match="rate_threshold_hz"):
             driver_gate([0.0], rate, disable)
+    for times in ([[0.0, 1.0]], 0.0):
+        with pytest.raises(ValueError, match="detection stream must be 1-D"):
+            driver_gate(times, 10.0, 1.0)
 
 
 def test_high_trigger_rate_suppresses_rotation():
@@ -361,6 +366,26 @@ def test_tac_rejects_unordered_streams_and_bad_window():
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="stop_delay_ns"):
             tac_coincidences(good, good, 4.0, value)
+    for not_1d in (good.reshape(1, 2), np.array(0.0)):
+        with pytest.raises(ValueError, match="start stream must be 1-D"):
+            tac_coincidences(not_1d, good, 4.0, 0.0)
+        with pytest.raises(ValueError, match="stop stream must be 1-D"):
+            tac_coincidences(good, not_1d, 4.0, 0.0)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_streams_are_checked_across_every_slice_edge(rows):
+    # the order is compared a slice at a time; a step back or a NaN at any
+    # place, slice edges included, still raises
+    with mock.patch.object(simulate, "_ROWS_PER_CHUNK", rows):
+        for i in range(1, 7):
+            for value, message in ((i - 1.5, "is not time-ordered"), (math.nan, "has non-finite")):
+                times = np.arange(7.0)
+                times[i] = value
+                with pytest.raises(ValueError, match="start stream " + message):
+                    tac_coincidences(times, np.arange(7.0), 4.0, 0.0)
+                with pytest.raises(ValueError, match="detection stream " + message):
+                    driver_gate(times, 10.0, 1.0)
 
 
 def test_tac_stop_delay_centers_the_window():
@@ -686,3 +711,52 @@ def test_write_event_csv_format(tmp_path):
     assert channel in ("trigger", "analyzer")
     assert origin in ("pair", "dark", "background")
     float(time_ns)
+
+
+# ---------------------------------------------------------------------------
+# memory: numpy reports its buffers to tracemalloc, so these peaks are counts
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes allocated while ``fn(*args)`` runs, above what was held before."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_tac_temporaries_do_not_grow_with_the_stream():
+    # 64 bytes per start of one slice (1 MiB); the unsliced pass took 17.2
+    # MiB at the 4.4e5 starts of a 1 s Klyshko run at 1e6 pairs/s
+    bound = 64 * simulate._ROWS_PER_CHUNK
+    rng = np.random.default_rng(21)
+    warm = np.arange(100.0)  # numpy sets up about 1 MiB on a first np.union1d
+    tac_coincidences(warm, warm, 4.0, 9.3)
+    for n in (440_000, 1_320_000):
+        starts = np.sort(rng.uniform(0.0, n * 2.27e3, n))  # 440 kHz, as at that run
+        stops = np.sort(np.concatenate([starts[::2] + 9.3, rng.uniform(0.0, starts[-1], n // 3)]))
+        assert traced_peak(tac_coincidences, starts, stops, 4.0, 9.3) < bound
+
+
+def test_klyshko_run_peaks_under_28_bytes_per_pair():
+    # the klyshko_highrate bench: 8 bytes per pair hold its emission times and
+    # 8 more one uniform draw; the run peaked at 47.3 bytes per pair while the
+    # stream merge tagged every event with an int64 and the TAC was unsliced
+    cfg = replace(
+        BenchConfig(),
+        pair_rate_hz=1.0e6,
+        idler_path_loss=0.9,
+        det1=DetectorParams(eta=0.45, dead_time_ns=45.0, dark_rate_hz=500.0),
+        det2=DetectorParams(eta=0.4, dead_time_ns=40.0, dark_rate_hz=800.0),
+        tac=TacParams(window_ns=4.0, stop_delay_ns=9.3),
+        background_rate_hz=2000.0,
+    )
+    run_klyshko_experiment(cfg, 0.001, 1)
+    assert traced_peak(run_klyshko_experiment, cfg, 1.0, 3) < 28 * cfg.pair_rate_hz
