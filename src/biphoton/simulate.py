@@ -263,7 +263,7 @@ def tac_coincidences(
     if not math.isfinite(stop_delay_ns):
         raise ValueError("tac_coincidences: stop_delay_ns must be finite")
     n, m = len(starts), len(stops)
-    if not n or not m:
+    if not m:
         return 0
     half = window_ns / 2.0
     count = 0
@@ -383,10 +383,7 @@ def _dead_time_filter(times: np.ndarray, dead_ns: float) -> np.ndarray:
     closer to a live predecessor is dead, whatever came before.  Only runs
     of two or more consecutive close events need the sequential rule.
     """
-    n = len(times)
-    keep = np.ones(n, dtype=bool)
-    if dead_ns <= 0 or n == 0:
-        return keep
+    keep = np.ones(len(times), dtype=bool)
     close = times[1:] < times[:-1] + dead_ns
     keep[1:] = ~close
     # events close to a close predecessor: replay each run of them from the
@@ -436,26 +433,24 @@ def _result(
     seed: int,
     trigger: tuple[np.ndarray, np.ndarray],
     analyzer: tuple[np.ndarray, np.ndarray],
-    start_offset_ns: float,
+    starts: np.ndarray,
     keep_records: bool,
 ) -> SimResult:
     """Coincidences of the two detected (times, origin tags) arms, as a SimResult.
 
-    The TAC start line is delayed by ``start_offset_ns``, the constant path
-    offset of the analyzer arm, so that pair partners meet in its window.
+    ``starts`` are the TAC start times: the trigger times, delayed by any
+    constant path offset of the analyzer arm so that pair partners meet in
+    the TAC's window.
     """
-    t1, t2 = trigger[0], analyzer[0]
+    t2 = analyzer[0]
     coincidences = tac_coincidences(
-        t1 + start_offset_ns,
-        t2 + cfg.tac.stop_delay_ns,
-        cfg.tac.window_ns,
-        cfg.tac.stop_delay_ns,
+        starts, t2 + cfg.tac.stop_delay_ns, cfg.tac.window_ns, cfg.tac.stop_delay_ns
     )
     return SimResult(
         duration_s=duration_s,
-        singles_trigger=int(len(t1)),
-        singles_analyzer=int(len(t2)),
-        coincidences=int(coincidences),
+        singles_trigger=len(trigger[0]),
+        singles_analyzer=len(t2),
+        coincidences=coincidences,
         config=cfg,
         seed=seed,
         records=_records_for(trigger, analyzer) if keep_records else None,
@@ -529,9 +524,8 @@ def run_conditional_experiment(
 
     group_states, p_pass = _idler_group_states(cfg)
     ana_proj, gain = cfg.analyzer.matrix(), cfg.idler_path_loss * cfg.analyzer.transmittance
-    p_detect2 = np.clip(
-        [gain * (ana_proj @ s.matrix).trace().real * cfg.det2.eta for s in group_states], 0.0, 1.0
-    )
+    # used only as draws in [0, 1) < p, where a p outside [0, 1] acts as its clip
+    p_detect2 = [gain * (ana_proj @ s.matrix).trace().real * cfg.det2.eta for s in group_states]
 
     # trigger arm: each detection is tagged with its pair's index, -1 for a dark
     copol = rng.random(n_pairs) < p_pass
@@ -558,7 +552,7 @@ def run_conditional_experiment(
         (backgr, 2),
     )
     trigger = (t_det1, (pair_det1 < 0).view(np.int8))  # a dark's origin is 1
-    return _result(cfg, duration_s, seed, trigger, analyzer, idler_offset_ns, keep_records)
+    return _result(cfg, duration_s, seed, trigger, analyzer, t_det1 + idler_offset_ns, keep_records)
 
 
 def run_klyshko_experiment(
@@ -585,7 +579,7 @@ def run_klyshko_experiment(
     analyzer = _detect(
         cfg.det2.dead_time_ns, (t_pairs.compress(cand2), 0), (dark2, 1), (backgr, 2)
     )
-    return _result(cfg, duration_s, seed, trigger, analyzer, 0.0, keep_records)
+    return _result(cfg, duration_s, seed, trigger, analyzer, trigger[0], keep_records)
 
 
 # ---------------------------------------------------------------------------
@@ -620,16 +614,16 @@ def scan_delay(
     Each delay value runs the experiment twice (analyzer at 0 deg and at
     90 deg), matching a physical polarizer that sits at one angle per run.
     """
+    analyzers = [Projector(angle, cfg.analyzer.transmittance) for angle in (0.0, 90.0)]
     points = []
     for i, delay in enumerate(delays_ns):
-        cfg_d = replace(cfg, electronic_delay_ns=float(delay))
         res_h, res_v = (
             run_conditional_experiment(
-                replace(cfg_d, analyzer=Projector(angle, cfg.analyzer.transmittance)),
+                replace(cfg, electronic_delay_ns=float(delay), analyzer=analyzer),
                 duration_s,
                 subseed(seed, i, k),
             )
-            for k, angle in enumerate((0.0, 90.0))
+            for k, analyzer in enumerate(analyzers)
         )
         points.append(
             DelayScanPoint(

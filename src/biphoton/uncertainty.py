@@ -49,6 +49,10 @@ from .calibrate import (
 DISTRIBUTIONS = ("gaussian", "rectangular")
 
 MIN_MC_TRIALS = 10_000
+# Every trial's value is kept, concatenated and then centred by the standard
+# deviation: a tracemalloc peak of 24 bytes per trial, so this many trials
+# peak near 1.5 GiB.
+MAX_MC_TRIALS = 1 << 26
 _MC_BLOCK = 1 << 15
 _DEFAULT_MC_SEED = 7041
 
@@ -264,9 +268,12 @@ def monte_carlo_uncertainty(
     inputs and so raise what it raises; the latter needs ``tau_ns``.
     Trials run in fixed-size blocks with per-block subseeds, so blocks can
     be evaluated in any order (or in parallel) without changing the result.
+    ``trials`` is an integer from MIN_MC_TRIALS to MAX_MC_TRIALS.
     """
-    if trials < MIN_MC_TRIALS:
-        raise ValueError(f"trials must be >= {MIN_MC_TRIALS}")
+    if not isinstance(trials, (int, np.integer)):
+        raise TypeError(f"trials must be an integer, got {type(trials).__name__}")
+    if not MIN_MC_TRIALS <= trials <= MAX_MC_TRIALS:
+        raise ValueError(f"trials must be in [{MIN_MC_TRIALS}, {MAX_MC_TRIALS}], got {trials}")
     if callable(estimator):
         func = estimator
     elif estimator == "conditional":

@@ -62,6 +62,8 @@ def test_eta_conditional_perfect_contrast():
 def test_eta_conditional_zero_contrast_raises():
     with pytest.raises(CalibrationError, match="zero Pockels contrast"):
         eta_conditional(CountSummary(10.0, 20.0, 5.0, 5.0))
+    with pytest.raises(CalibrationError, match="zero singles rates"):
+        eta_conditional(CountSummary(0.0, 0.0, 1.0, 2.0))
 
 
 def test_sums_beyond_float_range_are_refused():
@@ -303,6 +305,9 @@ def test_klyshko_counts_invariants():
         KlyshkoCounts(3.0e7, 1000.0, 500.0, 40.0, 9.3)
     with pytest.raises(CalibrationError):
         KlyshkoCounts(-1.0, 10.0, 5.0, 40.0, 9.3)
+    # no heralds: the counts are valid, the estimate is not
+    with pytest.raises(CalibrationError, match="n_idler must be > 0"):
+        eta_klyshko(KlyshkoCounts(1000.0, 0.0, 0.0, 40.0, 9.3))
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +352,10 @@ def test_fit_input_validation():
         fit_theta_curve([(0.0, 1.0), (10.0, 2.0), (20.0, 1.0), (30.0, 2.0)])
     with pytest.raises(FitError, match="rank-deficient"):
         fit_theta_curve([(0.0, 10.0), (90.0, 12.0), (0.0, 11.0), (90.0, 13.0)])
+    with pytest.raises(FitError, match="negative counts"):
+        fit_theta_curve([(0.0, 10.0), (45.0, -1.0), (90.0, 12.0), (135.0, 11.0)])
+    with pytest.raises(FitError, match="non-physical fitted amplitude"):
+        fit_theta_curve([(theta, 0.0) for theta in (0.0, 45.0, 90.0, 135.0)])
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(FitError, match="finite"):
             fit_theta_curve([(0.0, 10.0), (45.0, bad), (90.0, 12.0), (135.0, 11.0)])

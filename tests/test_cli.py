@@ -75,6 +75,9 @@ def test_simulate_env_seed_and_flag_priority(scenario_file, tmp_path, monkeypatc
         ["simulate", "--config", str(scenario_file), "--duration", "0.1", "--seed", "4"]
     ) == 0
     assert capsys.readouterr().out.splitlines()[1].endswith(",4")
+    monkeypatch.setenv("BIPHOTON_SEED", "abc")
+    assert main(["simulate", "--config", str(scenario_file), "--duration", "0.1"]) == 2
+    assert "BIPHOTON_SEED='abc' is not an integer" in capsys.readouterr().err
 
 
 def test_simulate_unknown_config_key_is_usage_error(tmp_path, capsys):
@@ -159,12 +162,14 @@ def test_scan_delay_csv(scenario_file, capsys):
 
 
 def test_scan_rejects_bad_values(scenario_file, capsys):
-    code = main(
-        ["scan", "--config", str(scenario_file), "--scan", "theta",
-         "--values", "0,abc", "--duration", "0.2"]
-    )
-    assert code == 2
-    assert "--values" in capsys.readouterr().err
+    for values, message in (("0,abc", "comma-separated"), (",", "empty list")):
+        code = main(
+            ["scan", "--config", str(scenario_file), "--scan", "theta",
+             "--values", values, "--duration", "0.2"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--values" in err and message in err
 
 
 def test_calibrate_conditional_reference(tmp_path, capsys):
@@ -404,6 +409,10 @@ def test_fit_rejects_headerless_file(tmp_path):
         (["0,100", "45,nan", "90,200", "135,150"], "finite"),
         (["0,100", "inf,150", "90,200", "135,150"], "finite"),
         (["0,5e299", "45,1e300", "90,2e300", "135,1e300"], "out of range"),
+        # a blank line is skipped, not read as a point
+        (["0,100", "", "45,150", "90,200"], "at least 4 points"),
+        (["0,100", "45", "90,200", "135,150"], "line 3: expected theta,counts"),
+        (["0,100", "45,abc", "90,200", "135,150"], "line 3: '45,abc' is not numeric"),
     ],
 )
 def test_fit_unusable_points_are_usage_error(tmp_path, capsys, rows, message):

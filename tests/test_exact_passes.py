@@ -83,6 +83,11 @@ def chained_stream(draw):
     grid_times(80, 60, 0.5, st.floats(0.0, 1.0e10)),
     st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7]),
 )
+# no dead time on tied times, an empty stream and a lone event
+@example(times=np.array([1.0, 1.0, 1.0, 2.0]), dead_ns=0.0)
+@example(times=np.empty(0), dead_ns=0.0)
+@example(times=np.empty(0), dead_ns=3.7)
+@example(times=np.array([5.0]), dead_ns=3.7)
 def test_dead_time_matches_loop_on_tied_streams(times, dead_ns):
     assert _dead_time_filter(times, dead_ns).tolist() == dead_time_reference(times, dead_ns).tolist()
 
@@ -193,6 +198,9 @@ TAC_STREAMS = (
 
 @settings(max_examples=400)
 @given(*TAC_STREAMS)
+# no starts against stops, and no stops
+@example(starts=EMPTY, stops=np.array([1.0, 2.0]), window_ns=4.0, stop_delay_ns=0.0)
+@example(starts=np.array([1.0, 2.0]), stops=EMPTY, window_ns=4.0, stop_delay_ns=0.0)
 def test_tac_matches_loops_for_any_stop_delay(starts, stops, window_ns, stop_delay_ns):
     got = tac_coincidences(starts, stops, window_ns, stop_delay_ns)
     assert got == tac_loop_reference(starts.tolist(), stops.tolist(), window_ns, stop_delay_ns)

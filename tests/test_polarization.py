@@ -100,6 +100,8 @@ def test_density_constructors_reject_invalid():
         PolarizationDensity(np.diag([1.5, -0.5]).astype(complex))
     with pytest.raises(ValueError, match="trace"):
         JointDensity(np.eye(4))
+    with pytest.raises(ValueError, match="expected 2x2 matrix"):
+        PolarizationDensity(np.eye(3, dtype=complex) / 3)
     for bad in (
         np.diag([np.nan, np.nan]),
         np.diag([0.5, 0.5 + 1j * np.nan]),
@@ -229,6 +231,8 @@ def test_depolarizer_commutes_with_rotator(q, angle):
 
 
 def test_non_cptp_channel_rejected_at_construction():
+    with pytest.raises(ValueError, match="no Kraus operators"):
+        PolarizationChannel(())
     with pytest.raises(ValueError, match="completeness"):
         PolarizationChannel((np.eye(2) * 0.5,))
     with pytest.raises(ValueError, match="completeness"):
@@ -285,6 +289,8 @@ def test_heralded_state_stokes_sign_convention():
     for eta in (0.3, 0.7, 1.0):
         assert bloch_vector(heralded_idler_state(eta))[0] == pytest.approx(-eta, abs=1e-14)
     assert np.allclose(heralded_idler_state(1.0).matrix, V.matrix, atol=1e-14)
+    with pytest.raises(ValueError, match="outside"):
+        heralded_idler_state(1.5)
 
 
 def test_degree_of_polarization_examples():

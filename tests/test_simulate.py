@@ -24,6 +24,7 @@ from biphoton.polarization import Projector
 from biphoton.simulate import (
     EventRecords,
     RunTooLargeError,
+    SimResult,
     driver_gate,
     run_conditional_experiment,
     run_klyshko_experiment,
@@ -273,6 +274,18 @@ def test_event_records_compare_every_column():
     for name, other in (("channel", [0, 0]), ("time_ns", [1.0, 2.5]), ("origin", [0, 1])):
         assert records != EventRecords(**{**base, name: np.array(other, dtype=base[name].dtype)})
     assert records != EventRecords(**{k: v[:1] for k, v in base.items()})
+    assert (records == object()) is False
+
+
+@pytest.mark.parametrize(
+    "singles_trigger, singles_analyzer, coincidences, message",
+    [(-1, 5, 0, "must be >= 0"), (5, 5, -1, "must be >= 0"), (5, 3, 4, "exceed a singles count")],
+)
+def test_sim_result_rejects_impossible_counts(
+    singles_trigger, singles_analyzer, coincidences, message
+):
+    with pytest.raises(ValueError, match=message):
+        SimResult(1.0, singles_trigger, singles_analyzer, coincidences, BenchConfig(), 0)
 
 
 def test_dead_time_enforced_on_each_channel():
@@ -569,14 +582,15 @@ def test_scan_delay_tracks_pulse_tail():
 
 
 def counted_calls(monkeypatch, *names):
-    """Count calls of the engine's polarization functions, starting from empty memos."""
+    """Count calls of the engine's polarization functions and config rebuilds,
+    starting from empty memos."""
     calls = Counter()
     for name in names:
         real = getattr(simulate, name)
 
-        def counting(*args, _name=name, _real=real):
+        def counting(*args, _name=name, _real=real, **kwargs):
             calls[_name] += 1
-            return _real(*args)
+            return _real(*args, **kwargs)
 
         monkeypatch.setattr(simulate, name, counting)
     simulate._angle_independent_states.cache_clear()
@@ -585,21 +599,26 @@ def counted_calls(monkeypatch, *names):
 
 
 def test_scans_build_each_idler_state_once(monkeypatch):
-    names = ("make_state", "rotator", "depolarizer", "apply_channel")
+    names = ("make_state", "rotator", "depolarizer", "apply_channel", "replace")
     cfg = closure_config()
     calls = counted_calls(monkeypatch, *names)
     scan_theta(cfg, np.arange(0.0, 181.0, 10.0), 0.01, 1)
-    assert calls == {"make_state": 1, "rotator": 1, "depolarizer": 1, "apply_channel": 4}
+    assert calls == {
+        "make_state": 1, "rotator": 1, "depolarizer": 1, "apply_channel": 4, "replace": 19
+    }
     # 0 and 2000 ns give two rotation angles, 3700 and 4000 ns, both after
     # the pulse, share phi = 0; H and V at one delay share theirs.  Per phi
     # only the rotated state is built: a rotation and one depolarization.
+    # Each run's config is built in one step, from analyzers built once.
     calls = counted_calls(monkeypatch, *names)
     scan_delay(cfg, [0.0, 2000.0, 3700.0, 4000.0], 0.01, 1)
-    assert calls == {"make_state": 1, "rotator": 3, "depolarizer": 1, "apply_channel": 2 + 2 * 3}
+    assert calls == {
+        "make_state": 1, "rotator": 3, "depolarizer": 1, "apply_channel": 2 + 2 * 3, "replace": 8
+    }
     bernoulli = replace(cfg, pockels=PockelsParams(q=0.3, failure_model="bernoulli_identity"))
     calls = counted_calls(monkeypatch, *names)
     scan_delay(bernoulli, [0.0, 2000.0, 3700.0, 4000.0], 0.01, 1)
-    assert calls == {"make_state": 1, "rotator": 3, "apply_channel": 3}
+    assert calls == {"make_state": 1, "rotator": 3, "apply_channel": 3, "replace": 8}
 
 
 def test_zero_rate_stream_is_empty_and_draws_nothing():

@@ -2,9 +2,11 @@ import math
 from dataclasses import replace
 from functools import partial
 
+import numpy as np
 import pytest
 
 from conftest import sigfigs_ok
+from biphoton import uncertainty
 from biphoton.calibrate import (
     CalibrationError,
     CountSummary,
@@ -203,6 +205,8 @@ def test_budget_klyshko_reference(reference_klyshko_inputs):
     assert t_row.distribution == "rectangular"
     assert t_row.std_dev == pytest.approx(0.288675, abs=5e-7)
     assert t_row.contribution == pytest.approx(1.829e-5, rel=1e-3)
+    with pytest.raises(KeyError, match="n_h"):
+        budget.row("n_h")
 
 
 def test_budget_klyshko_flags_deviating_reference_coefficients(reference_klyshko_inputs):
@@ -309,6 +313,23 @@ def test_monte_carlo_deterministic_and_validated(
             budget(inputs)
         with pytest.raises(CalibrationError, match=message):
             monte_carlo_uncertainty(scheme, inputs, 10_000, tau_ns=40.0)
+
+
+def test_monte_carlo_trials_are_a_bounded_integer(monkeypatch, reference_conditional_inputs):
+    inputs = reference_conditional_inputs
+    at_bound = monte_carlo_uncertainty("conditional", inputs, 20_000, seed=5)
+    # a small bound, so that no test allocates for the real one; a bad count
+    # of trials raises before any input is sampled
+    monkeypatch.setattr(uncertainty, "MAX_MC_TRIALS", 20_000)
+    assert monte_carlo_uncertainty("conditional", inputs, 20_000, seed=5) == at_bound
+    assert monte_carlo_uncertainty("conditional", inputs, np.int64(20_000), seed=5) == at_bound
+    monkeypatch.setattr(uncertainty, "_sample", None)
+    for trials in (20_001, 9_999, -1):
+        with pytest.raises(ValueError, match=r"trials must be in \[10000, 20000\]"):
+            monte_carlo_uncertainty("conditional", inputs, trials)
+    for trials in (1e5, 20_000.0, "20000", None):
+        with pytest.raises(TypeError, match="trials must be an integer"):
+            monte_carlo_uncertainty("conditional", inputs, trials)
 
 
 def test_vectorized_estimators_agree_with_scalar_reference():
