@@ -11,8 +11,9 @@ against them and takes over everywhere else.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .polarization import STATE_KINDS, Projector
 
@@ -30,9 +31,44 @@ class ConfigError(ValueError):
     """Invalid bench configuration."""
 
 
-def _finite_nonneg(value: float) -> bool:
-    """False for negative values, NaN and infinity alike."""
-    return 0.0 <= value < math.inf
+def _range(lo: float = -math.inf, hi: float = math.inf, *, lo_open=False, inf_ok=False) -> dict:
+    """Field metadata admitting the numbers from ``lo`` to ``hi``.
+
+    ``lo`` itself is admitted unless ``lo_open``, an infinite bound only
+    with ``inf_ok``, and NaN never.
+    """
+
+    def admits(value) -> bool:
+        above = lo < value if lo_open else lo <= value
+        return above and value <= hi and (inf_ok or math.isfinite(value))
+
+    words = [] if inf_ok else ["finite"]
+    if hi < math.inf:
+        words.append(f"in {'(' if lo_open else '['}{lo:g}, {hi:g}]")
+    elif lo > -math.inf:
+        words.append(f"{'>' if lo_open else '>='} {lo:g}")
+    return {"admits": (admits, " and ".join(words))}
+
+
+def _choices(options: tuple) -> dict:
+    """Field metadata admitting only the members of ``options``."""
+    return {"admits": (options.__contains__, f"one of {options}")}
+
+
+@functools.cache
+def _rules(cls) -> tuple:
+    """``(name, admits, description)`` of each field of ``cls`` that declares its range."""
+    return tuple((f.name, *f.metadata["admits"]) for f in fields(cls) if "admits" in f.metadata)
+
+
+class _Checked:
+    """Base of the config records: each field is checked against its declared range."""
+
+    def __post_init__(self):
+        for name, admits, description in _rules(type(self)):
+            value = getattr(self, name)
+            if not admits(value):
+                raise ConfigError(f"{type(self).__name__}: {name} = {value!r} must be {description}")
 
 
 class NoClosedFormError(ValueError):
@@ -40,20 +76,16 @@ class NoClosedFormError(ValueError):
 
 
 @dataclass(frozen=True)
-class PulseShape:
+class PulseShape(_Checked):
     """High-voltage pulse profile: linear rise, flat top, linear fall.
 
     Amplitude is normalized to [0, 1]; 1 means the full conditional
     rotation is applied to a photon sampling that instant.
     """
 
-    rise_ns: float = 5.0
-    flat_ns: float = 100.0
-    fall_ns: float = 3500.0
-
-    def __post_init__(self):
-        if not all(map(_finite_nonneg, (self.rise_ns, self.flat_ns, self.fall_ns))):
-            raise ConfigError("PulseShape: durations must be finite and >= 0")
+    rise_ns: float = field(default=5.0, metadata=_range(0.0))
+    flat_ns: float = field(default=100.0, metadata=_range(0.0))
+    fall_ns: float = field(default=3500.0, metadata=_range(0.0))
 
     @property
     def total_ns(self) -> float:
@@ -75,42 +107,28 @@ class PulseShape:
 
 
 @dataclass(frozen=True)
-class DriverPolicy:
+class DriverPolicy(_Checked):
     """Rate protection of the high-voltage driver.
 
     When the trailing-one-second trigger rate exceeds ``rate_threshold_hz``
     the driver stops scheduling pulses for ``disable_duration_s``.
     """
 
-    rate_threshold_hz: float = 1.0e4
-    disable_duration_s: float = 1.0
-
-    def __post_init__(self):
-        if not self.rate_threshold_hz > 0:
-            raise ConfigError("DriverPolicy: rate_threshold_hz must be > 0")
-        if not self.disable_duration_s >= 0:
-            raise ConfigError("DriverPolicy: disable_duration_s must be >= 0")
+    rate_threshold_hz: float = field(default=1.0e4, metadata=_range(0.0, lo_open=True, inf_ok=True))
+    disable_duration_s: float = field(default=1.0, metadata=_range(0.0, inf_ok=True))
 
 
 @dataclass(frozen=True)
-class DetectorParams:
+class DetectorParams(_Checked):
     """Quantum efficiency, non-paralyzable dead time, and dark-count rate."""
 
-    eta: float = 0.5
-    dead_time_ns: float = 0.0
-    dark_rate_hz: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigError(f"DetectorParams: eta = {self.eta} outside [0, 1]")
-        if not (_finite_nonneg(self.dead_time_ns) and _finite_nonneg(self.dark_rate_hz)):
-            raise ConfigError(
-                "DetectorParams: dead time and dark rate must be finite and >= 0"
-            )
+    eta: float = field(default=0.5, metadata=_range(0.0, 1.0))
+    dead_time_ns: float = field(default=0.0, metadata=_range(0.0))
+    dark_rate_hz: float = field(default=0.0, metadata=_range(0.0))
 
 
 @dataclass(frozen=True)
-class PockelsParams:
+class PockelsParams(_Checked):
     """Conditional-rotation element and its imperfection model.
 
     ``q`` is the coincidence-visibility parameter of the apparatus.  Under
@@ -120,19 +138,9 @@ class PockelsParams:
     both models produce the same coincidence visibility q.
     """
 
-    q: float = 1.0
-    failure_model: str = "uniform_depolarizer"
-    rotation_angle_deg: float = 90.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.q <= 1.0:
-            raise ConfigError(f"PockelsParams: q = {self.q} outside [0, 1]")
-        if self.failure_model not in FAILURE_MODELS:
-            raise ConfigError(
-                f"PockelsParams: failure_model {self.failure_model!r} not in {FAILURE_MODELS}"
-            )
-        if not math.isfinite(self.rotation_angle_deg):
-            raise ConfigError("PockelsParams: rotation_angle_deg must be finite")
+    q: float = field(default=1.0, metadata=_range(0.0, 1.0))
+    failure_model: str = field(default="uniform_depolarizer", metadata=_choices(FAILURE_MODELS))
+    rotation_angle_deg: float = field(default=90.0, metadata=_range())
 
     @property
     def success_probability(self) -> float:
@@ -141,21 +149,15 @@ class PockelsParams:
 
 
 @dataclass(frozen=True)
-class TacParams:
+class TacParams(_Checked):
     """Start-stop coincidence circuit: acceptance window and stop-line delay."""
 
-    window_ns: float = 4.0
-    stop_delay_ns: float = 9.3
-
-    def __post_init__(self):
-        if not 0 < self.window_ns < math.inf:
-            raise ConfigError("TacParams: window_ns must be finite and > 0")
-        if not 0.0 <= self.stop_delay_ns <= MAX_DELAY_NS:
-            raise ConfigError(f"TacParams: stop_delay_ns must be finite and in [0, {MAX_DELAY_NS:g}]")
+    window_ns: float = field(default=4.0, metadata=_range(0.0, lo_open=True))
+    stop_delay_ns: float = field(default=9.3, metadata=_range(0.0, MAX_DELAY_NS))
 
 
 @dataclass(frozen=True)
-class BenchConfig:
+class BenchConfig(_Checked):
     """Complete static description of one experiment.
 
     ``idler_path_loss`` is the transmission fraction of the idler optical
@@ -165,40 +167,21 @@ class BenchConfig:
     sampling point further along the pulse profile.
     """
 
-    pair_rate_hz: float = 1.0e5
-    source_kind: str = "mixed_hv"
-    state_visibility: float = 1.0
-    idler_path_loss: float = 1.0
+    pair_rate_hz: float = field(default=1.0e5, metadata=_range(0.0))
+    source_kind: str = field(default="mixed_hv", metadata=_choices(STATE_KINDS))
+    state_visibility: float = field(default=1.0, metadata=_range(0.0, 1.0))
+    idler_path_loss: float = field(default=1.0, metadata=_range(0.0, 1.0))
     trigger_projector: Projector = field(default_factory=lambda: Projector(90.0))
     analyzer: Projector = field(default_factory=lambda: Projector(0.0))
     pockels: PockelsParams = field(default_factory=PockelsParams)
-    fiber_delay_ns: float = 50.0
-    electronic_delay_ns: float = 0.0
+    fiber_delay_ns: float = field(default=50.0, metadata=_range(0.0, MAX_DELAY_NS))
+    electronic_delay_ns: float = field(default=0.0, metadata=_range(0.0, MAX_DELAY_NS))
     pulse: PulseShape = field(default_factory=PulseShape)
     driver: DriverPolicy = field(default_factory=DriverPolicy)
     det1: DetectorParams = field(default_factory=lambda: DetectorParams(eta=0.45, dead_time_ns=40.0))
     det2: DetectorParams = field(default_factory=lambda: DetectorParams(eta=0.40, dead_time_ns=40.0))
     tac: TacParams = field(default_factory=TacParams)
-    background_rate_hz: float = 0.0
-
-    def __post_init__(self):
-        if not _finite_nonneg(self.pair_rate_hz):
-            raise ConfigError("BenchConfig: pair_rate_hz must be finite and >= 0")
-        if self.source_kind not in STATE_KINDS:
-            raise ConfigError(
-                f"BenchConfig: source_kind {self.source_kind!r} not in {STATE_KINDS}"
-            )
-        if not 0.0 <= self.state_visibility <= 1.0:
-            raise ConfigError("BenchConfig: state_visibility outside [0, 1]")
-        if not 0.0 <= self.idler_path_loss <= 1.0:
-            raise ConfigError("BenchConfig: idler_path_loss outside [0, 1]")
-        if not (
-            0.0 <= self.fiber_delay_ns <= MAX_DELAY_NS
-            and 0.0 <= self.electronic_delay_ns <= MAX_DELAY_NS
-        ):
-            raise ConfigError(f"BenchConfig: delays must be finite and in [0, {MAX_DELAY_NS:g}] ns")
-        if not _finite_nonneg(self.background_rate_hz):
-            raise ConfigError("BenchConfig: background_rate_hz must be finite and >= 0")
+    background_rate_hz: float = field(default=0.0, metadata=_range(0.0))
 
     def pulse_amplitude_at_idler(self) -> float:
         """Pulse amplitude sampled by the idler for this timing setup."""

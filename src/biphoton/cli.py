@@ -9,9 +9,9 @@ fit        modulation-curve least squares on (theta, counts) CSV data
 selftest   reduced-scale closure checks of the engine against the analytics
 
 Exit codes: 0 success, 1 statistical/self-test failure, 2 usage or config
-error.  The RNG seed resolves as flag > ``BIPHOTON_SEED`` env var > 0.  All
-CSV output has a header line, LF endings, and ``.`` decimals regardless of
-locale.
+error.  The RNG seed resolves as flag > ``BIPHOTON_SEED`` env var > 0 and must
+be >= 0.  All CSV output has a header line, LF endings, and ``.`` decimals
+regardless of locale.
 """
 
 from __future__ import annotations
@@ -55,15 +55,16 @@ from .uncertainty import (
 )
 
 def _resolve_seed(seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    env = os.environ.get("BIPHOTON_SEED")
-    if env is not None:
+    where = "--seed"
+    if seed is None:
+        where, env = "BIPHOTON_SEED", os.environ.get("BIPHOTON_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ConfigError(f"BIPHOTON_SEED={env!r} is not an integer") from None
-    return 0
+    if seed < 0:
+        raise ConfigError(f"{where} = {seed} must be >= 0")
+    return seed
 
 
 def _write_text(path: str, text: str) -> None:

@@ -1,10 +1,11 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from conftest import enumerate_conditional_rates
 from biphoton.bench import (
+    FAILURE_MODELS,
     MAX_DELAY_NS,
     BenchConfig,
     ConfigError,
@@ -18,7 +19,7 @@ from biphoton.bench import (
     predict_singles_rate,
     predict_singles_visibility,
 )
-from biphoton.polarization import Projector
+from biphoton.polarization import STATE_KINDS, Projector
 
 
 def cfg_with(**kwargs) -> BenchConfig:
@@ -100,15 +101,15 @@ def test_config_validation_errors():
         BenchConfig(idler_path_loss=-0.2)
     nan, inf = float("nan"), float("inf")
     for bad in (nan, inf):
-        with pytest.raises(ConfigError, match="dark rate"):
+        with pytest.raises(ConfigError, match="dark_rate_hz"):
             DetectorParams(dark_rate_hz=bad)
-        with pytest.raises(ConfigError, match="dead time"):
+        with pytest.raises(ConfigError, match="dead_time_ns"):
             DetectorParams(dead_time_ns=bad)
         with pytest.raises(ConfigError, match="background_rate_hz"):
             BenchConfig(background_rate_hz=bad)
-        with pytest.raises(ConfigError, match="delays"):
+        with pytest.raises(ConfigError, match="fiber_delay_ns"):
             BenchConfig(fiber_delay_ns=bad)
-        with pytest.raises(ConfigError, match="delays"):
+        with pytest.raises(ConfigError, match="electronic_delay_ns"):
             BenchConfig(electronic_delay_ns=bad)
         with pytest.raises(ConfigError, match="window_ns"):
             TacParams(window_ns=bad)
@@ -130,12 +131,64 @@ def test_config_validation_errors():
     BenchConfig(fiber_delay_ns=MAX_DELAY_NS, electronic_delay_ns=MAX_DELAY_NS)
     TacParams(stop_delay_ns=MAX_DELAY_NS)
     for bad in (math.nextafter(MAX_DELAY_NS, inf), 1e17, 1e300):
-        with pytest.raises(ConfigError, match="delays"):
+        with pytest.raises(ConfigError, match="fiber_delay_ns"):
             BenchConfig(fiber_delay_ns=bad)
-        with pytest.raises(ConfigError, match="delays"):
+        with pytest.raises(ConfigError, match="electronic_delay_ns"):
             BenchConfig(electronic_delay_ns=bad)
         with pytest.raises(ConfigError, match="stop_delay_ns"):
             TacParams(stop_delay_ns=bad)
+
+
+# The admitted set of every float and string config field, written out apart
+# from the ranges bench.py declares.  NaN compares false, and -0.0 == 0.0.
+_ADMITTED = {
+    "PulseShape.rise_ns": lambda v: 0.0 <= v < math.inf,
+    "PulseShape.flat_ns": lambda v: 0.0 <= v < math.inf,
+    "PulseShape.fall_ns": lambda v: 0.0 <= v < math.inf,
+    "DriverPolicy.rate_threshold_hz": lambda v: v > 0.0,
+    "DriverPolicy.disable_duration_s": lambda v: v >= 0.0,
+    "DetectorParams.eta": lambda v: 0.0 <= v <= 1.0,
+    "DetectorParams.dead_time_ns": lambda v: 0.0 <= v < math.inf,
+    "DetectorParams.dark_rate_hz": lambda v: 0.0 <= v < math.inf,
+    "PockelsParams.q": lambda v: 0.0 <= v <= 1.0,
+    "PockelsParams.failure_model": lambda v: v in FAILURE_MODELS,
+    "PockelsParams.rotation_angle_deg": math.isfinite,
+    "TacParams.window_ns": lambda v: 0.0 < v < math.inf,
+    "TacParams.stop_delay_ns": lambda v: 0.0 <= v <= MAX_DELAY_NS,
+    "BenchConfig.pair_rate_hz": lambda v: 0.0 <= v < math.inf,
+    "BenchConfig.source_kind": lambda v: v in STATE_KINDS,
+    "BenchConfig.state_visibility": lambda v: 0.0 <= v <= 1.0,
+    "BenchConfig.idler_path_loss": lambda v: 0.0 <= v <= 1.0,
+    "BenchConfig.fiber_delay_ns": lambda v: 0.0 <= v <= MAX_DELAY_NS,
+    "BenchConfig.electronic_delay_ns": lambda v: 0.0 <= v <= MAX_DELAY_NS,
+    "BenchConfig.background_rate_hz": lambda v: 0.0 <= v < math.inf,
+}
+_EDGE_NUMBERS = (
+    -math.inf, -1e300, -1.0, -0.0, 0.0, 5e-324, 0.5, 1.0, math.nextafter(1.0, math.inf), 3.0,
+    1e9, math.nextafter(1e9, math.inf), 1e300, math.inf, math.nan,
+)
+_EDGE_STRINGS = STATE_KINDS + FAILURE_MODELS + ("", "Mixed_HV")
+_CHECKED_FIELDS = [
+    (cls, f)
+    for cls in (PulseShape, DriverPolicy, DetectorParams, PockelsParams, TacParams, BenchConfig)
+    for f in fields(cls)
+    if f.type in ("float", "str")
+]
+
+
+@pytest.mark.parametrize(
+    "cls, f", _CHECKED_FIELDS, ids=[f"{cls.__name__}.{f.name}" for cls, f in _CHECKED_FIELDS]
+)
+def test_config_field_declares_and_admits_its_set(cls, f):
+    assert "admits" in f.metadata, "the field declares no range or choices"
+    admitted = _ADMITTED[f"{cls.__name__}.{f.name}"]
+    for value in _EDGE_STRINGS if f.type == "str" else _EDGE_NUMBERS:
+        if admitted(value):
+            cls(**{f.name: value})
+            continue
+        with pytest.raises(ConfigError) as err:
+            cls(**{f.name: value})
+        assert str(err.value).startswith(f"{cls.__name__}: {f.name} = {value!r} must be ")
 
 
 def test_bernoulli_success_probability():

@@ -80,6 +80,31 @@ def test_simulate_env_seed_and_flag_priority(scenario_file, tmp_path, monkeypatc
     assert "BIPHOTON_SEED='abc' is not an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, env, named",
+    [
+        (["simulate", "--duration", "0.1", "--seed", "-1"], None, "--seed = -1"),
+        (["selftest", "--seed", "-2"], None, "--seed = -2"),
+        (["scan", "--scan", "delay", "--values", "0", "--duration", "0.1"], "-3",
+         "BIPHOTON_SEED = -3"),
+        (["simulate", "--duration", "0.1", "--seed", "-5"], "4", "--seed = -5"),
+        (["simulate", "--duration", "0.1"], "-4", "BIPHOTON_SEED = -4"),
+    ],
+    ids=["simulate-flag", "selftest-flag", "scan-env", "flag-over-env", "simulate-env"],
+)
+def test_negative_seed_is_usage_error_naming_its_source(
+    scenario_file, monkeypatch, capsys, command, env, named
+):
+    if env is not None:
+        monkeypatch.setenv("BIPHOTON_SEED", env)
+    if command[0] != "selftest":
+        command = [*command, "--config", str(scenario_file)]
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert f"error: {named} must be >= 0" in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_unknown_config_key_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("det9.eta=0.5\n")

@@ -142,13 +142,13 @@ def test_parse_validates_through_config_invariants():
     "line, message",
     [
         ("background_rate_hz=nan", "background_rate_hz"),
-        ("fiber_delay_ns=inf", "delays"),
-        ("electronic_delay_ns=-inf", "delays"),
+        ("fiber_delay_ns=inf", "fiber_delay_ns"),
+        ("electronic_delay_ns=-inf", "electronic_delay_ns"),
         ("tac.window_ns=nan", "window_ns"),
         ("tac.stop_delay_ns=inf", "stop_delay_ns"),
-        ("det1.dark_rate_hz=nan", "dark rate"),
-        ("det2.dead_time_ns=inf", "dead time"),
-        ("pulse.fall_ns=nan", "durations"),
+        ("det1.dark_rate_hz=nan", "dark_rate_hz"),
+        ("det2.dead_time_ns=inf", "dead_time_ns"),
+        ("pulse.fall_ns=nan", "fall_ns"),
         ("pockels.rotation_angle_deg=inf", "rotation_angle_deg"),
     ],
 )
