@@ -35,12 +35,15 @@ def _range(lo: float = -math.inf, hi: float = math.inf, *, lo_open=False, inf_ok
     """Field metadata admitting the numbers from ``lo`` to ``hi``.
 
     ``lo`` itself is admitted unless ``lo_open``, an infinite bound only
-    with ``inf_ok``, and NaN never.
+    with ``inf_ok``, and NaN or a non-number never.
     """
 
     def admits(value) -> bool:
-        above = lo < value if lo_open else lo <= value
-        return above and value <= hi and (inf_ok or math.isfinite(value))
+        try:
+            above = lo < value if lo_open else lo <= value
+            return above and value <= hi and (inf_ok or math.isfinite(value))
+        except TypeError:  # a string, None: no number
+            return False
 
     words = [] if inf_ok else ["finite"]
     if hi < math.inf:

@@ -36,10 +36,15 @@ class FitError(RuntimeError):
 
 
 def _check_counts(counts) -> None:
-    """Raise CalibrationError unless every field of ``counts`` is finite and >= 0."""
+    """Raise CalibrationError unless every field of ``counts`` is a finite number >= 0."""
     for f in fields(counts):
-        if not 0 <= getattr(counts, f.name) < math.inf:
-            raise CalibrationError(f"{type(counts).__name__}: {f.name} must be finite and >= 0")
+        value = getattr(counts, f.name)
+        try:
+            admitted = 0 <= value < math.inf
+        except TypeError:  # a string, None: no number
+            admitted = False
+        if not admitted:
+            raise CalibrationError(f"{type(counts).__name__}: {f.name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)

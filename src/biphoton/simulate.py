@@ -16,15 +16,17 @@ runs (different seeds or scan values) may execute concurrently and their
 counts merge by summation.
 
 Per pair, outcome probabilities come from the exact conditional states of
-:mod:`biphoton.polarization` (no small-angle shortcuts).  The idler samples
-the amplitude of its *own* trigger's pulse only, which keeps the engine
-consistent with the closed forms of :mod:`biphoton.bench`.  Idlers inside a
-pulse fired for another pair are outside this model.  That hides a bias a
-standalone model (ROADMAP item 13) puts at -0.9% of eta_cond at 4.8 kHz of
-triggers (about 3 sigma of a 120 s sample) and -1.8% at the 10 kHz gate.
-Detector dead time is non-paralyzable, and dark/background events are
-injected as ready-made detection rates on their channel, subject only to
-dead time.
+:mod:`biphoton.polarization` (no small-angle shortcuts).  A pulse that turns
+the idler by phi is applied as the analyzer turned by -phi, which gives the
+same probability exactly, so no state is built per pulse amplitude.  The
+idler samples the amplitude of its *own* trigger's pulse only, which keeps
+the engine consistent with the closed forms of :mod:`biphoton.bench`.
+Idlers inside a pulse fired for another pair are outside this model.  That
+hides a bias a standalone model (ROADMAP item 13) puts at -0.9% of eta_cond
+at 4.8 kHz of triggers (about 3 sigma of a 120 s sample) and -1.8% at the
+10 kHz gate.  Detector dead time is non-paralyzable, and dark/background
+events are injected as ready-made detection rates on their channel, subject
+only to dead time.
 """
 
 from __future__ import annotations
@@ -37,15 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bench import BenchConfig
-from .polarization import (
-    PolarizationDensity,
-    Projector,
-    apply_channel,
-    conditional_state,
-    depolarizer,
-    make_state,
-    rotator,
-)
+from .polarization import Projector, apply_channel, conditional_state, depolarizer, make_state
 
 CHANNELS = ("trigger", "analyzer")
 ORIGINS = ("pair", "dark", "background")
@@ -462,45 +456,42 @@ def _result(
 
 
 @lru_cache(maxsize=1)
-def _angle_independent_states(trigger: tuple, failure_model: str, q: float):
-    """(p_pass, rho_copol, channel, perp, copol), which no rotation angle changes: the
-    trigger-pass probability (transmittance excluded), the copol state the pulse rotates,
-    the channel applied after the rotation (None under bernoulli_identity) and the idler
-    states behind a blocked and a passed trigger photon, after that channel."""
+def _idler_group_states(trigger: tuple, failure_model: str, q: float):
+    """(p_pass, perp, copol): the trigger-pass probability (transmittance excluded) and the
+    idler states behind a blocked and a passed trigger photon, depolarized under
+    uniform_depolarizer.  Keys that differ only as 0.0 and -0.0 share an entry: the
+    states then differ only in the sign of a zero entry, which no count sees."""
     source_kind, state_visibility, trigger_angle_deg = trigger
     joint = make_state(source_kind, state_visibility)
-    p_pass, rho_copol = conditional_state(joint, Projector(trigger_angle_deg))
-    _, rho_perp = conditional_state(joint, Projector(trigger_angle_deg + 90.0))
+    p_pass, copol = conditional_state(joint, Projector(trigger_angle_deg))
+    _, perp = conditional_state(joint, Projector(trigger_angle_deg + 90.0))
     if failure_model != "uniform_depolarizer":
-        return p_pass, rho_copol, None, rho_perp, rho_copol
+        return p_pass, perp, copol
     depol = depolarizer(q)
-    return p_pass, rho_copol, depol, apply_channel(rho_perp, depol), apply_channel(rho_copol, depol)
+    return p_pass, apply_channel(perp, depol), apply_channel(copol, depol)
 
 
-@lru_cache(maxsize=1)
-def _group_states(trigger: tuple, phi: float, failure_model: str, q: float, p_ok: float):
-    """Idler states of the groups (perp, copol, copol rotated by phi) and p_pass; the
-    bernoulli_identity success branch (probability p_ok) is an exact mixture."""
-    p_pass, rho_copol, channel, perp, copol = _angle_independent_states(trigger, failure_model, q)
-    rotated = apply_channel(rho_copol, rotator(phi))
-    if channel is not None:
-        return (perp, copol, apply_channel(rotated, channel)), p_pass
-    mixed = p_ok * rotated.matrix + (1.0 - p_ok) * rho_copol.matrix
-    return (perp, copol, PolarizationDensity(mixed)), p_pass
+def _idler_detect_probabilities(cfg: BenchConfig) -> tuple[float, list[float]]:
+    """p_pass and the idler detection probabilities of the groups perp, copol and pulsed.
 
-
-def _idler_group_states(cfg: BenchConfig) -> tuple[tuple[PolarizationDensity, ...], float]:
-    """Pre-analyzer idler group states of one run and the trigger-pass probability.
-
-    Every pulsed pair is rotated by the one pulse amplitude the idler samples
-    times rotation_angle_deg.  The one-entry memos rebuild states only when
-    an input changes.  Keys that differ only as 0.0 and -0.0 share an entry:
-    the states then differ only in the sign of a zero entry, which no count sees.
+    An idler turned by phi (the sampled pulse amplitude times rotation_angle_deg) passes
+    exactly as the memo's state passes the analyzer turned by -phi: the depolarizer
+    commutes with the turn.  Under bernoulli_identity the turn succeeds with p_ok.
     """
     p = cfg.pockels
     trigger = (cfg.source_kind, cfg.state_visibility, cfg.trigger_projector.angle_deg)
+    p_pass, perp, copol = _idler_group_states(trigger, p.failure_model, p.q)
     phi = cfg.pulse_amplitude_at_idler() * p.rotation_angle_deg
-    return _group_states(trigger, phi, p.failure_model, p.q, p.success_probability)
+    analyzer, turned = cfg.analyzer.matrix(), Projector(cfg.analyzer.angle_deg - phi).matrix()
+    gain = cfg.idler_path_loss * cfg.analyzer.transmittance
+    p_perp, p_copol, p_turned = (
+        gain * (a @ s.matrix).trace().real * cfg.det2.eta
+        for a, s in ((analyzer, perp), (analyzer, copol), (turned, copol))
+    )
+    if p.failure_model != "uniform_depolarizer":
+        p_ok = p.success_probability
+        p_turned = p_ok * p_turned + (1.0 - p_ok) * p_copol
+    return p_pass, [p_perp, p_copol, p_turned]
 
 
 def run_conditional_experiment(
@@ -522,10 +513,8 @@ def run_conditional_experiment(
     rng, t_pairs = _pair_stream(cfg, duration_s, seed)
     n_pairs = len(t_pairs)
 
-    group_states, p_pass = _idler_group_states(cfg)
-    ana_proj, gain = cfg.analyzer.matrix(), cfg.idler_path_loss * cfg.analyzer.transmittance
     # used only as draws in [0, 1) < p, where a p outside [0, 1] acts as its clip
-    p_detect2 = [gain * (ana_proj @ s.matrix).trace().real * cfg.det2.eta for s in group_states]
+    p_pass, p_detect2 = _idler_detect_probabilities(cfg)
 
     # trigger arm: each detection is tagged with its pair's index, -1 for a dark
     copol = rng.random(n_pairs) < p_pass

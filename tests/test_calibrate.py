@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields, replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import enumerate_conditional_rates
-from biphoton.bench import BenchConfig, DetectorParams, PockelsParams
+from biphoton.bench import BenchConfig, ConfigError, DetectorParams, PockelsParams
 from biphoton.calibrate import (
     CalibrationError,
     CountSummary,
@@ -99,6 +100,42 @@ def test_counts_reject_non_finite_fields(bad):
     for name in klyshko:
         with pytest.raises(CalibrationError, match=f"{name} must be finite"):
             KlyshkoCounts(**{**klyshko, name: bad})
+
+
+@pytest.mark.parametrize(
+    "build, error, field",
+    [
+        (lambda v: BenchConfig(pair_rate_hz=v), ConfigError, "BenchConfig: pair_rate_hz"),
+        (lambda v: DetectorParams(eta=v), ConfigError, "DetectorParams: eta"),
+        (lambda v: CountSummary(v, 1.0, 1.0, 1.0), CalibrationError, "CountSummary: n_h"),
+        (
+            lambda v: KlyshkoCounts(100.0, 10.0, 1.0, tau_ns=v, t_ns=0.0),
+            CalibrationError,
+            "KlyshkoCounts: tau_ns",
+        ),
+    ],
+)
+@pytest.mark.parametrize("value", ["5", None, 1j])
+def test_a_value_that_does_not_compare_raises_the_record_error(build, error, field, value):
+    with pytest.raises(error) as caught:
+        build(value)
+    assert str(caught.value).startswith(field) and repr(value) in str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda v: BenchConfig(pair_rate_hz=v), ConfigError),
+        (lambda v: DetectorParams(eta=v), ConfigError),
+        (lambda v: CountSummary(v, 1.0, 1.0, 1.0), CalibrationError),
+        (lambda v: KlyshkoCounts(100.0, 10.0, v, tau_ns=0.0, t_ns=0.0), CalibrationError),
+    ],
+)
+@pytest.mark.parametrize("value", [1, True, np.float32(0.5), Decimal("0.5")])
+def test_numbers_of_other_types_keep_their_verdict(build, error, value):
+    build(value)
+    with pytest.raises(error):
+        build(-value)
 
 
 @pytest.mark.parametrize("u", [-1.0, math.nan])

@@ -393,7 +393,7 @@ OFF_PULSE = BenchConfig(electronic_delay_ns=4000.0)
 @settings(max_examples=150)
 @given(st.lists(idler_configs(), min_size=1, max_size=4), st.lists(st.integers(0, 3), max_size=6))
 @example(
-    # off the pulse, rotation angles of 90 and -90 give phi = 0.0 and -0.0, one memo key
+    # off the pulse, rotation angles of 90 and -90 give phi = 0.0 and -0.0, one analyzer turn
     cfgs=[OFF_PULSE, replace(OFF_PULSE, pockels=PockelsParams(rotation_angle_deg=-90.0))],
     order=[0, 1, 0],
 )
@@ -405,20 +405,26 @@ def test_memoized_idler_states_equal_the_reference(cfgs, order):
     # each config is asked for twice in a row, so the second call is a memo hit
     for cfg in [cfgs[i % len(cfgs)] for i in order] or cfgs:
         expected, p_expected = idler_group_states_reference(cfg)
+        reference = idler_detect_probabilities_reference(cfg, expected)
         for _ in range(2):
-            hits = simulate._group_states.cache_info().hits
-            states, p_pass = simulate._idler_group_states(cfg)
+            hits = simulate._idler_group_states.cache_info().hits
+            p_pass, probabilities = simulate._idler_detect_probabilities(cfg)
             assert p_pass == p_expected
-            assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(states, expected))
-            assert np.array_equal(
-                idler_detect_probabilities_reference(cfg, states),
-                idler_detect_probabilities_reference(cfg, expected),
-            )
-        assert simulate._group_states.cache_info().hits == hits + 1
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(simulate, "_idler_group_states", idler_group_states_reference)
-            reference = simulate.run_conditional_experiment(cfg, 0.002, 7)
-        assert counts(simulate.run_conditional_experiment(cfg, 0.002, 7)) == counts(reference)
+        assert simulate._idler_group_states.cache_info().hits == hits + 1
+        # the memo's entry holds the states of groups 0 and 1 bit for bit
+        trigger = (cfg.source_kind, cfg.state_visibility, cfg.trigger_projector.angle_deg)
+        _, *states = simulate._idler_group_states(trigger, cfg.pockels.failure_model, cfg.pockels.q)
+        assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(states, expected[:2]))
+        assert np.array_equal(np.clip(probabilities[:2], 0.0, 1.0), reference[:2])
+        # no rotated state is left to compare, so group 2 is compared as a
+        # probability: the analyzer turned by -phi sums its products in another
+        # order, within 16 ulps of gain * eta2, the probability's upper bound
+        # (at most 10 in 90,000 random configs)
+        scale = cfg.idler_path_loss * cfg.analyzer.transmittance * cfg.det2.eta
+        assert abs(np.clip(probabilities[2], 0.0, 1.0) - reference[2]) <= 16 * math.ulp(scale)
+        assert counts(simulate.run_conditional_experiment(cfg, 0.002, 7)) == (
+            conditional_run_reference(cfg, 0.002, 7)[0]
+        )
 
 
 @st.composite
@@ -450,8 +456,23 @@ def conditional_run_configs(draw):
     )
 
 
+def turned_analyzer_config(failure_model):
+    """The analyzer at 45 deg and phi about 40 deg (2000 ns into the pulse's fall),
+    where the sign of the turn and the bernoulli_identity weight each change counts."""
+    return BenchConfig(
+        pair_rate_hz=2.0e5,
+        analyzer=Projector(45.0),
+        pockels=PockelsParams(q=0.832, failure_model=failure_model),
+        electronic_delay_ns=2000.0,
+    )
+
+
 @settings(max_examples=60)
 @given(conditional_run_configs(), st.integers(0, 2**32))
+@example(cfg=turned_analyzer_config("uniform_depolarizer"), seed=0)
+@example(cfg=turned_analyzer_config("uniform_depolarizer"), seed=1)
+@example(cfg=turned_analyzer_config("bernoulli_identity"), seed=0)
+@example(cfg=turned_analyzer_config("bernoulli_identity"), seed=1)
 @example(cfg=BenchConfig(pair_rate_hz=3.0e6, driver=DriverPolicy(disable_duration_s=0.004)), seed=1)
 @example(
     # fired dark trigger clicks, whose pair index -1 must not pulse the last pair

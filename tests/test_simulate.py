@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import idler_group_states_reference, poisson_visibility_sigma, tac_reference
+from conftest import conditional_run_reference, poisson_visibility_sigma, tac_reference
 from biphoton import simulate
 from biphoton.bench import (
     MAX_DELAY_NS,
@@ -593,32 +593,27 @@ def counted_calls(monkeypatch, *names):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(simulate, name, counting)
-    simulate._angle_independent_states.cache_clear()
-    simulate._group_states.cache_clear()
+    simulate._idler_group_states.cache_clear()
     return calls
 
 
 def test_scans_build_each_idler_state_once(monkeypatch):
-    names = ("make_state", "rotator", "depolarizer", "apply_channel", "replace")
+    names = ("make_state", "depolarizer", "apply_channel", "replace")
     cfg = closure_config()
     calls = counted_calls(monkeypatch, *names)
     scan_theta(cfg, np.arange(0.0, 181.0, 10.0), 0.01, 1)
-    assert calls == {
-        "make_state": 1, "rotator": 1, "depolarizer": 1, "apply_channel": 4, "replace": 19
-    }
-    # 0 and 2000 ns give two rotation angles, 3700 and 4000 ns, both after
-    # the pulse, share phi = 0; H and V at one delay share theirs.  Per phi
-    # only the rotated state is built: a rotation and one depolarization.
-    # Each run's config is built in one step, from analyzers built once.
+    assert calls == {"make_state": 1, "depolarizer": 1, "apply_channel": 2, "replace": 19}
+    # No rotation angle enters a state: the pulse turns the analyzer, so the
+    # depolarized perp and copol states are built once for the whole scan,
+    # whatever the delays.  Each run's config is built in one step, from
+    # analyzers built once.
     calls = counted_calls(monkeypatch, *names)
     scan_delay(cfg, [0.0, 2000.0, 3700.0, 4000.0], 0.01, 1)
-    assert calls == {
-        "make_state": 1, "rotator": 3, "depolarizer": 1, "apply_channel": 2 + 2 * 3, "replace": 8
-    }
+    assert calls == {"make_state": 1, "depolarizer": 1, "apply_channel": 2, "replace": 8}
     bernoulli = replace(cfg, pockels=PockelsParams(q=0.3, failure_model="bernoulli_identity"))
     calls = counted_calls(monkeypatch, *names)
     scan_delay(bernoulli, [0.0, 2000.0, 3700.0, 4000.0], 0.01, 1)
-    assert calls == {"make_state": 1, "rotator": 3, "apply_channel": 3, "replace": 8}
+    assert calls == {"make_state": 1, "replace": 8}
 
 
 def test_zero_rate_stream_is_empty_and_draws_nothing():
@@ -656,10 +651,8 @@ def test_idler_states_follow_a_changed_input(change):
     changed = replace(cfg, **change)
     before = counts(run_conditional_experiment(cfg, 0.5, 5))
     after = counts(run_conditional_experiment(changed, 0.5, 5))
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(simulate, "_idler_group_states", idler_group_states_reference)
-        assert counts(run_conditional_experiment(changed, 0.5, 5)) == after
-        assert counts(run_conditional_experiment(cfg, 0.5, 5)) == before
+    assert after == conditional_run_reference(changed, 0.5, 5)[0]
+    assert before == conditional_run_reference(cfg, 0.5, 5)[0]
     assert after != before
 
 

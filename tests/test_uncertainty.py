@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -273,6 +274,26 @@ def test_monte_carlo_linear_estimator_matches_propagation():
     analytic = math.hypot(2.0 * 0.3, 3.0 * 0.7)
     mc = monte_carlo_uncertainty(lambda a, b: 2.0 * a + 3.0 * b, inputs, 200_000)
     assert mc == pytest.approx(analytic, rel=0.02)
+
+
+def test_monte_carlo_rejects_an_estimator_of_another_length():
+    inputs = [UncertainInput("a", 10.0, 0.3)]
+    for func in (lambda a: a[:-1], lambda a: np.concatenate([a, a]), lambda a: 1.0):
+        with pytest.raises(ValueError, match="the estimator returned"):
+            monte_carlo_uncertainty(func, inputs, 40_000)
+
+
+def test_monte_carlo_keeps_each_trial_in_one_array(reference_conditional_inputs):
+    # the trial values (8 bytes each) and one temporary of np.std; a list of
+    # blocks concatenated peaked at 25 bytes per trial
+    trials = 1_000_000
+    tracemalloc.start()
+    try:
+        monte_carlo_uncertainty("conditional", reference_conditional_inputs, trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * trials
 
 
 def test_monte_carlo_deterministic_and_validated(
