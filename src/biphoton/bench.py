@@ -11,10 +11,10 @@ against them and takes over everywhere else.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
+from ._checked import _Checked, _choices, _range
 from .polarization import STATE_KINDS, Projector
 
 FAILURE_MODELS = ("uniform_depolarizer", "bernoulli_identity")
@@ -31,49 +31,6 @@ class ConfigError(ValueError):
     """Invalid bench configuration."""
 
 
-def _range(lo: float = -math.inf, hi: float = math.inf, *, lo_open=False, inf_ok=False) -> dict:
-    """Field metadata admitting the numbers from ``lo`` to ``hi``.
-
-    ``lo`` itself is admitted unless ``lo_open``, an infinite bound only
-    with ``inf_ok``, and NaN or a non-number never.
-    """
-
-    def admits(value) -> bool:
-        try:
-            above = lo < value if lo_open else lo <= value
-            return above and value <= hi and (inf_ok or math.isfinite(value))
-        except TypeError:  # a string, None: no number
-            return False
-
-    words = [] if inf_ok else ["finite"]
-    if hi < math.inf:
-        words.append(f"in {'(' if lo_open else '['}{lo:g}, {hi:g}]")
-    elif lo > -math.inf:
-        words.append(f"{'>' if lo_open else '>='} {lo:g}")
-    return {"admits": (admits, " and ".join(words))}
-
-
-def _choices(options: tuple) -> dict:
-    """Field metadata admitting only the members of ``options``."""
-    return {"admits": (options.__contains__, f"one of {options}")}
-
-
-@functools.cache
-def _rules(cls) -> tuple:
-    """``(name, admits, description)`` of each field of ``cls`` that declares its range."""
-    return tuple((f.name, *f.metadata["admits"]) for f in fields(cls) if "admits" in f.metadata)
-
-
-class _Checked:
-    """Base of the config records: each field is checked against its declared range."""
-
-    def __post_init__(self):
-        for name, admits, description in _rules(type(self)):
-            value = getattr(self, name)
-            if not admits(value):
-                raise ConfigError(f"{type(self).__name__}: {name} = {value!r} must be {description}")
-
-
 class NoClosedFormError(ValueError):
     """No analytic prediction for this configuration; use the Monte Carlo."""
 
@@ -86,6 +43,7 @@ class PulseShape(_Checked):
     rotation is applied to a photon sampling that instant.
     """
 
+    _error = ConfigError
     rise_ns: float = field(default=5.0, metadata=_range(0.0))
     flat_ns: float = field(default=100.0, metadata=_range(0.0))
     fall_ns: float = field(default=3500.0, metadata=_range(0.0))
@@ -117,6 +75,7 @@ class DriverPolicy(_Checked):
     the driver stops scheduling pulses for ``disable_duration_s``.
     """
 
+    _error = ConfigError
     rate_threshold_hz: float = field(default=1.0e4, metadata=_range(0.0, lo_open=True, inf_ok=True))
     disable_duration_s: float = field(default=1.0, metadata=_range(0.0, inf_ok=True))
 
@@ -125,6 +84,7 @@ class DriverPolicy(_Checked):
 class DetectorParams(_Checked):
     """Quantum efficiency, non-paralyzable dead time, and dark-count rate."""
 
+    _error = ConfigError
     eta: float = field(default=0.5, metadata=_range(0.0, 1.0))
     dead_time_ns: float = field(default=0.0, metadata=_range(0.0))
     dark_rate_hz: float = field(default=0.0, metadata=_range(0.0))
@@ -141,6 +101,7 @@ class PockelsParams(_Checked):
     both models produce the same coincidence visibility q.
     """
 
+    _error = ConfigError
     q: float = field(default=1.0, metadata=_range(0.0, 1.0))
     failure_model: str = field(default="uniform_depolarizer", metadata=_choices(FAILURE_MODELS))
     rotation_angle_deg: float = field(default=90.0, metadata=_range())
@@ -155,6 +116,7 @@ class PockelsParams(_Checked):
 class TacParams(_Checked):
     """Start-stop coincidence circuit: acceptance window and stop-line delay."""
 
+    _error = ConfigError
     window_ns: float = field(default=4.0, metadata=_range(0.0, lo_open=True))
     stop_delay_ns: float = field(default=9.3, metadata=_range(0.0, MAX_DELAY_NS))
 
@@ -170,6 +132,7 @@ class BenchConfig(_Checked):
     sampling point further along the pulse profile.
     """
 
+    _error = ConfigError
     pair_rate_hz: float = field(default=1.0e5, metadata=_range(0.0))
     source_kind: str = field(default="mixed_hv", metadata=_choices(STATE_KINDS))
     state_visibility: float = field(default=1.0, metadata=_range(0.0, 1.0))

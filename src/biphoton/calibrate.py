@@ -17,9 +17,11 @@ Everything here is a pure function over immutable inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
+
+from ._checked import _Checked, _range
 
 _NS_TO_S = 1.0e-9
 # Largest count fit_theta_curve accepts.  Its delta-method gradient divides by
@@ -35,20 +37,8 @@ class FitError(RuntimeError):
     """Least-squares fit failed (rank deficiency or unusable data)."""
 
 
-def _check_counts(counts) -> None:
-    """Raise CalibrationError unless every field of ``counts`` is a finite number >= 0."""
-    for f in fields(counts):
-        value = getattr(counts, f.name)
-        try:
-            admitted = 0 <= value < math.inf
-        except TypeError:  # a string, None: no number
-            admitted = False
-        if not admitted:
-            raise CalibrationError(f"{type(counts).__name__}: {f.name} must be finite and >= 0, got {value!r}")
-
-
 @dataclass(frozen=True)
-class CountSummary:
+class CountSummary(_Checked):
     """Analyzer-arm rates at the two principal polarizer settings.
 
     ``n_h``/``n_v`` are singles at 0 deg / 90 deg, ``nc_h``/``nc_v`` the
@@ -56,33 +46,30 @@ class CountSummary:
     held separately until :func:`background_subtract` removes them.
     """
 
-    n_h: float
-    n_v: float
-    nc_h: float
-    nc_v: float
-    background_h: float = 0.0
-    background_v: float = 0.0
-
-    def __post_init__(self):
-        _check_counts(self)
+    _error = CalibrationError
+    n_h: float = field(metadata=_range(0.0))
+    n_v: float = field(metadata=_range(0.0))
+    nc_h: float = field(metadata=_range(0.0))
+    nc_v: float = field(metadata=_range(0.0))
+    background_h: float = field(default=0.0, metadata=_range(0.0))
+    background_v: float = field(default=0.0, metadata=_range(0.0))
 
 
 @dataclass(frozen=True)
-class KlyshkoCounts:
+class KlyshkoCounts(_Checked):
     """Rates of the direct calibration plus the correction parameters."""
 
-    n_signal: float
-    n_idler: float
-    n_coincidence: float
-    tau_ns: float
-    t_ns: float
+    _error = CalibrationError
+    n_signal: float = field(metadata=_range(0.0))
+    n_idler: float = field(metadata=_range(0.0))
+    n_coincidence: float = field(metadata=_range(0.0))
+    tau_ns: float = field(metadata=_range(0.0))
+    t_ns: float = field(metadata=_range(0.0))
 
     def __post_init__(self):
-        _check_counts(self)
+        super().__post_init__()  # each field's range, then the checks across fields
         if self.n_coincidence > min(self.n_signal, self.n_idler):
-            raise CalibrationError(
-                "KlyshkoCounts: coincidences exceed a singles rate"
-            )
+            raise CalibrationError("KlyshkoCounts: coincidences exceed a singles rate")
         gamma, alpha = klyshko_corrections(self.n_signal, self.tau_ns, self.t_ns)
         if not gamma > 0.0:
             raise CalibrationError("KlyshkoCounts: n_signal * tau must be < 1")
@@ -91,17 +78,12 @@ class KlyshkoCounts:
 
 
 @dataclass(frozen=True)
-class Estimate:
+class Estimate(_Checked):
     """A value with its standard uncertainty (0 when not yet evaluated)."""
 
-    value: float
-    u: float = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError("Estimate: value must be finite")
-        if not 0 <= self.u < math.inf:  # False for NaN
-            raise ValueError("Estimate: u must be >= 0 and finite")
+    _error = ValueError
+    value: float = field(metadata=_range())
+    u: float = field(default=0.0, metadata=_range(0.0))
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,11 @@ functions, so everything here is safe for unrestricted parallel use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._checked import _Checked, _range
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
@@ -116,20 +118,13 @@ class PolarizationChannel:
 
 
 @dataclass(frozen=True)
-class Projector:
+class Projector(_Checked):
     """Linear polarizer: transmission axis ``angle_deg`` from horizontal,
     intensity transmittance ``transmittance`` along that axis."""
 
-    angle_deg: float
-    transmittance: float = 1.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.angle_deg):
-            raise ValueError(f"Projector: angle_deg {self.angle_deg} must be finite")
-        if not 0.0 <= self.transmittance <= 1.0:
-            raise ValueError(
-                f"Projector: transmittance {self.transmittance} outside [0, 1]"
-            )
+    _error = ValueError
+    angle_deg: float = field(metadata=_range())
+    transmittance: float = field(default=1.0, metadata=_range(0.0, 1.0))
 
     def matrix(self) -> np.ndarray:
         """Rank-1 projector |theta><theta| (transmittance not included)."""

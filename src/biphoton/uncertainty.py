@@ -29,11 +29,12 @@ wanted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ._checked import _Checked, _choices, _range
 from .calibrate import (
     _NS_TO_S,
     CalibrationError,
@@ -64,24 +65,17 @@ INPUT_NAMES = {
 
 
 @dataclass(frozen=True)
-class UncertainInput:
+class UncertainInput(_Checked):
     """One estimator input: value, standard deviation, and distribution."""
 
+    _error = ValueError
     name: str
-    value: float
-    std_dev: float
-    distribution: str = "gaussian"
+    value: float = field(metadata=_range())
+    std_dev: float = field(metadata=_range(0.0))
+    distribution: str = field(default="gaussian", metadata=_choices(DISTRIBUTIONS))
 
-    def __post_init__(self):
-        if self.std_dev < 0:
-            raise ValueError(f"UncertainInput {self.name}: std_dev must be >= 0")
-        if not (math.isfinite(self.value) and math.isfinite(self.std_dev)):
-            raise ValueError(f"UncertainInput {self.name}: value and std_dev must be finite")
-        if self.distribution not in DISTRIBUTIONS:
-            raise ValueError(
-                f"UncertainInput {self.name}: distribution "
-                f"{self.distribution!r} not in {DISTRIBUTIONS}"
-            )
+    def _label(self) -> str:
+        return f"UncertainInput {self.name}"
 
     @classmethod
     def rectangular(cls, name: str, value: float, half_width: float) -> "UncertainInput":

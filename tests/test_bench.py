@@ -19,7 +19,9 @@ from biphoton.bench import (
     predict_singles_rate,
     predict_singles_visibility,
 )
+from biphoton.calibrate import CalibrationError, CountSummary, Estimate, KlyshkoCounts
 from biphoton.polarization import STATE_KINDS, Projector
+from biphoton.uncertainty import DISTRIBUTIONS, UncertainInput
 
 
 def cfg_with(**kwargs) -> BenchConfig:
@@ -139,8 +141,10 @@ def test_config_validation_errors():
             TacParams(stop_delay_ns=bad)
 
 
-# The admitted set of every float and string config field, written out apart
-# from the ranges bench.py declares.  NaN compares false, and -0.0 == 0.0.
+# The admitted set of every float and string field of the checked records,
+# written out apart from the ranges the records declare.  NaN compares false,
+# and -0.0 == 0.0.
+_count = lambda v: 0.0 <= v < math.inf
 _ADMITTED = {
     "PulseShape.rise_ns": lambda v: 0.0 <= v < math.inf,
     "PulseShape.flat_ns": lambda v: 0.0 <= v < math.inf,
@@ -162,17 +166,60 @@ _ADMITTED = {
     "BenchConfig.fiber_delay_ns": lambda v: 0.0 <= v <= MAX_DELAY_NS,
     "BenchConfig.electronic_delay_ns": lambda v: 0.0 <= v <= MAX_DELAY_NS,
     "BenchConfig.background_rate_hz": lambda v: 0.0 <= v < math.inf,
+    "Projector.angle_deg": math.isfinite,
+    "Projector.transmittance": lambda v: 0.0 <= v <= 1.0,
+    **{
+        f"CountSummary.{name}": _count
+        for name in ("n_h", "n_v", "nc_h", "nc_v", "background_h", "background_v")
+    },
+    **{
+        f"KlyshkoCounts.{name}": _count
+        for name in ("n_signal", "n_idler", "n_coincidence", "tau_ns", "t_ns")
+    },
+    "Estimate.value": math.isfinite,
+    "Estimate.u": _count,
+    "UncertainInput.value": math.isfinite,
+    "UncertainInput.std_dev": _count,
+    "UncertainInput.distribution": lambda v: v in DISTRIBUTIONS,
 }
+# Valid values of the fields without a default; each case varies one field.
+_BASE = {
+    Projector: dict(angle_deg=30.0),
+    CountSummary: dict(n_h=76.6, n_v=165.9, nc_h=4.4, nc_v=48.7),
+    KlyshkoCounts: dict(n_signal=1e3, n_idler=1e3, n_coincidence=1e2, tau_ns=40.0, t_ns=10.0),
+    Estimate: dict(value=0.5),
+    UncertainInput: dict(name="n_h", value=76.6, std_dev=4.2),
+}
+_CONFIGS = (PulseShape, DriverPolicy, DetectorParams, PockelsParams, TacParams, BenchConfig)
+_ERROR = {
+    **dict.fromkeys(_CONFIGS, ConfigError),
+    **dict.fromkeys((CountSummary, KlyshkoCounts), CalibrationError),
+    **dict.fromkeys((Projector, Estimate, UncertainInput), ValueError),
+}
+
+
+def _klyshko_cross_error(k: dict) -> str | None:
+    """The message of the KlyshkoCounts check across fields that in-range ``k`` fails, if any."""
+    if k["n_coincidence"] > min(k["n_signal"], k["n_idler"]):
+        return "KlyshkoCounts: coincidences exceed a singles rate"
+    if not 1.0 - k["n_signal"] * k["tau_ns"] * 1e-9 > 0.0:
+        return "KlyshkoCounts: n_signal * tau must be < 1"
+    if not 1.0 - k["n_signal"] * k["t_ns"] * 1e-9 > 0.0:
+        return "KlyshkoCounts: n_signal * T must be < 1"
+    return None
+
+
 _EDGE_NUMBERS = (
     -math.inf, -1e300, -1.0, -0.0, 0.0, 5e-324, 0.5, 1.0, math.nextafter(1.0, math.inf), 3.0,
     1e9, math.nextafter(1e9, math.inf), 1e300, math.inf, math.nan,
 )
-_EDGE_STRINGS = STATE_KINDS + FAILURE_MODELS + ("", "Mixed_HV")
+_EDGE_STRINGS = STATE_KINDS + FAILURE_MODELS + DISTRIBUTIONS + ("", "Mixed_HV", "Gaussian")
 _CHECKED_FIELDS = [
     (cls, f)
-    for cls in (PulseShape, DriverPolicy, DetectorParams, PockelsParams, TacParams, BenchConfig)
+    for cls in _ERROR
     for f in fields(cls)
-    if f.type in ("float", "str")
+    # an input's name labels its messages and may be any string
+    if f.type in ("float", "str") and (cls, f.name) != (UncertainInput, "name")
 ]
 
 
@@ -182,13 +229,20 @@ _CHECKED_FIELDS = [
 def test_config_field_declares_and_admits_its_set(cls, f):
     assert "admits" in f.metadata, "the field declares no range or choices"
     admitted = _ADMITTED[f"{cls.__name__}.{f.name}"]
+    label = "UncertainInput n_h" if cls is UncertainInput else cls.__name__
     for value in _EDGE_STRINGS if f.type == "str" else _EDGE_NUMBERS:
-        if admitted(value):
-            cls(**{f.name: value})
+        kwargs = {**_BASE.get(cls, {}), f.name: value}
+        cross = admitted(value) and cls is KlyshkoCounts and _klyshko_cross_error(kwargs)
+        if admitted(value) and not cross:
+            assert getattr(cls(**kwargs), f.name) is value
             continue
-        with pytest.raises(ConfigError) as err:
-            cls(**{f.name: value})
-        assert str(err.value).startswith(f"{cls.__name__}: {f.name} = {value!r} must be ")
+        with pytest.raises(ValueError) as err:
+            cls(**kwargs)
+        assert type(err.value) is _ERROR[cls]
+        if cross:
+            assert str(err.value) == cross
+        else:
+            assert str(err.value).startswith(f"{label}: {f.name} = {value!r} must be ")
 
 
 def test_bernoulli_success_probability():

@@ -1,6 +1,7 @@
 import math
 from dataclasses import fields, replace
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -94,11 +95,11 @@ def test_count_summary_rejects_negative():
 def test_counts_reject_non_finite_fields(bad):
     conditional = dict(n_h=100.0, n_v=10.0, nc_h=1.0, nc_v=1.0, background_h=0.0, background_v=0.0)
     for name in conditional:
-        with pytest.raises(CalibrationError, match=f"{name} must be finite"):
+        with pytest.raises(CalibrationError, match=f"{name} = {bad!r} must be finite"):
             CountSummary(**{**conditional, name: bad})
     klyshko = dict(n_signal=100.0, n_idler=10.0, n_coincidence=1.0, tau_ns=0.0, t_ns=0.0)
     for name in klyshko:
-        with pytest.raises(CalibrationError, match=f"{name} must be finite"):
+        with pytest.raises(CalibrationError, match=f"{name} = {bad!r} must be finite"):
             KlyshkoCounts(**{**klyshko, name: bad})
 
 
@@ -138,19 +139,56 @@ def test_numbers_of_other_types_keep_their_verdict(build, error, value):
         build(-value)
 
 
+@pytest.mark.parametrize("number", [Decimal, Fraction, np.int64])
+def test_numbers_of_other_types_are_stored_as_floats(number):
+    # integral values, which every one of the three types holds exactly
+    conditional = (77.0, 166.0, 4.0, 49.0)
+    klyshko = (20000.0, 30000.0, 4000.0, 40.0, 9.0)
+    as_number = lambda values: [number(int(v)) for v in values]
+    for estimator, record, values in [
+        (eta_conditional, CountSummary, conditional),
+        (eta_klyshko, KlyshkoCounts, klyshko),
+    ]:
+        given_numbers = estimator(record(*as_number(values))).value
+        assert type(given_numbers) is float
+        assert given_numbers.hex() == estimator(record(*values)).value.hex()
+
+    def config(n):
+        return BenchConfig(
+            pair_rate_hz=n(20000),
+            electronic_delay_ns=n(2000),
+            analyzer=Projector(n(45)),
+            det1=DetectorParams(eta=n(1), dead_time_ns=n(40), dark_rate_hz=n(200)),
+            pockels=PockelsParams(q=n(1), rotation_angle_deg=n(90)),
+        )
+
+    given_numbers = run_conditional_experiment(config(number), 0.05, seed=3, keep_records=True)
+    given_floats = run_conditional_experiment(config(float), 0.05, seed=3, keep_records=True)
+    assert given_numbers.config == given_floats.config
+    assert given_numbers.records == given_floats.records  # every click time, bit for bit
+    assert given_numbers.coincidences == given_floats.coincidences > 0
+
+
+def test_a_number_no_float_can_hold_raises_the_record_error():
+    with pytest.raises(ConfigError, match="^BenchConfig: pair_rate_hz = 1000"):
+        BenchConfig(pair_rate_hz=10**400)
+    with pytest.raises(CalibrationError, match="^KlyshkoCounts: t_ns = Fraction"):
+        KlyshkoCounts(100.0, 10.0, 1.0, tau_ns=0.0, t_ns=Fraction(10**400))
+
+
 @pytest.mark.parametrize("u", [-1.0, math.nan])
 def test_estimate_rejects_negative_or_nan_uncertainty(u):
-    with pytest.raises(ValueError, match="u must be >= 0"):
+    with pytest.raises(ValueError, match=f"u = {u!r} must be finite and >= 0"):
         Estimate(0.5, u)
 
 
 @pytest.mark.parametrize(
     "value, u, message",
     [
-        (math.nan, 0.1, "value must be finite"),
-        (math.inf, 0.0, "value must be finite"),
-        (-math.inf, 0.0, "value must be finite"),
-        (0.5, math.inf, "u must be >= 0 and finite"),
+        (math.nan, 0.1, "value = nan must be finite"),
+        (math.inf, 0.0, "value = inf must be finite"),
+        (-math.inf, 0.0, "value = -inf must be finite"),
+        (0.5, math.inf, "u = inf must be finite and >= 0"),
     ],
 )
 def test_estimate_rejects_non_finite_values(value, u, message):

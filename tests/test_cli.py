@@ -361,6 +361,9 @@ def _counts_with(tmp_path, scheme: str, rows: list[str], drop=()) -> str:
 CALIBRATE_USAGE_ERRORS = {
     "partial budget keys": ("conditional", ["u_n_h=4.2"], ("u_",), [], "all or none"),
     "partial Klyshko budget keys": ("klyshko", [], ("t_half",), [], "all or none"),
+    "negative budget deviation": (
+        "conditional", ["u_n_h=-4.2"], (), [], "UncertainInput n_h: std_dev"
+    ),
     "klyshko with --epsilon": ("klyshko", [], (), ["--epsilon", "0.9"], "only for"),
     "klyshko with --background": ("klyshko", [], (), ["--background", "bg.txt"], "only for"),
     "--out without budget": ("conditional", [], ("u_",), ["--out", "budget.csv"], "--out"),

@@ -313,9 +313,9 @@ def test_monte_carlo_deterministic_and_validated(
         monte_carlo_uncertainty("conditional", [n_v, n_h, nc_h, nc_v], 10_000)
     # a dead time the Klyshko budget rejects is rejected the same way here
     for tau_ns, message in [
-        (math.nan, "tau_ns must be finite"),
-        (math.inf, "tau_ns must be finite"),
-        (-40.0, "tau_ns must be finite"),
+        (math.nan, "tau_ns = nan must be finite"),
+        (math.inf, "tau_ns = inf must be finite"),
+        (-40.0, "tau_ns = -40.0 must be finite"),
         (1e6, r"n_signal \* tau must be < 1"),
     ]:
         with pytest.raises(CalibrationError, match=message):
