@@ -190,6 +190,12 @@ def test_estimate_rejects_negative_or_nan_uncertainty(u):
         (-math.inf, 0.0, "value = -inf must be finite"),
         (0.5, math.inf, "u = inf must be finite and >= 0"),
     ],
+    ids=[
+        "nan-0.1-value must be finite",
+        "inf-0.0-value must be finite",
+        "-inf-0.0-value must be finite",
+        "0.5-inf-u must be >= 0 and finite",
+    ],
 )
 def test_estimate_rejects_non_finite_values(value, u, message):
     with pytest.raises(ValueError, match=message):
