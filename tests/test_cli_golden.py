@@ -1,7 +1,7 @@
 """The CLI writes exactly what it wrote when its digests were recorded.
 
-Each case runs ``biphoton`` in-process on the files in ``demos/data``, or
-on counts files derived from them, and pins the sha256 of its standard
+Each case runs ``biphoton`` in-process on the files in ``demos/data``, on
+counts files derived from them, or, for the self-test, on nothing; it pins the sha256 of its standard
 output and, where it writes one, of its ``--out`` file.  A change that
 moves any printed count, estimate, budget line or CSV byte fails here and
 must say why.
@@ -49,6 +49,7 @@ CASES = {
     ],
     "calibrate_klyshko_no_budget": ["calibrate", "--scheme", "klyshko", "--counts", "{klyshko}"],
     "fit": ["fit", "--points", "{theta_csv}"],
+    "selftest": ["selftest", "--seed", "0"],  # its five checks and printed margins
 }
 
 # (stdout, --out file) digests; None where the case writes no file.  "scan_theta" writes its CSV to a file,
@@ -78,6 +79,7 @@ CLI_SHA256 = {
         None,
     ),
     "fit": ("9d45b23fe0aa6d21d153daeb0f08d3e7f9682d379a3a1f7737bb372447a2e2dc", None),
+    "selftest": ("7284be95365815acec37d42f46bb71f7f8dc859eae9a8dde697fd61b47276936", None),
 }
 
 
