@@ -10,13 +10,13 @@ import numpy as np
 
 from biphoton import (
     BenchConfig,
-    CountSummary,
     DetectorParams,
     PockelsParams,
     Projector,
     apply_polarizer_correction,
     eta_conditional,
     fit_theta_curve,
+    hv_counts,
     predict_coincidence_visibility,
     predict_singles_visibility,
     scan_theta,
@@ -46,13 +46,7 @@ fit = fit_theta_curve([(p.theta_deg, p.singles) for p in points])
 print(f"\nleast-squares modulation m = {fit.modulation:.4f} +- {fit.u_modulation:.4f}")
 print(f"predicted m = eta1 * epsilon * q = {predict_singles_visibility(cfg):.4f}")
 
-by_angle = {p.theta_deg: p for p in points}
-counts = CountSummary(
-    n_h=by_angle[0.0].singles,
-    n_v=by_angle[90.0].singles,
-    nc_h=by_angle[0.0].coincidences,
-    nc_v=by_angle[90.0].coincidences,
-)
+counts = hv_counts(points)  # the scan's points at 0 deg (H) and 90 deg (V)
 vis_s = visibility(counts.n_v, counts.n_h)
 vis_c = visibility(counts.nc_v, counts.nc_h)
 print(f"\nsingles visibility      = {vis_s:.4f}   (predicted {predict_singles_visibility(cfg):.4f})")

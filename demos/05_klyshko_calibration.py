@@ -14,9 +14,9 @@ import math
 from biphoton import (
     BenchConfig,
     DetectorParams,
-    KlyshkoCounts,
     TacParams,
     eta_klyshko,
+    klyshko_counts,
     run_klyshko_experiment,
     subseed,
 )
@@ -32,14 +32,7 @@ for i, pair_rate in enumerate((0.5e5, 1.0e5, 2.0e5, 2.7e5)):
         tac=TacParams(window_ns=2.0, stop_delay_ns=9.3),
     )
     res = run_klyshko_experiment(cfg, duration_s=10.0, seed=subseed(2026, i))
-    d = res.duration_s
-    counts = KlyshkoCounts(
-        n_signal=res.singles_trigger / d,
-        n_idler=res.singles_analyzer / d,
-        n_coincidence=res.coincidences / d,
-        tau_ns=40.0,
-        t_ns=9.3,
-    )
+    counts = klyshko_counts(res)  # rates, with tau = 40 ns of det1 and T = 9.3 ns of the TAC
     raw = counts.n_coincidence / counts.n_idler
     corrected = eta_klyshko(counts).value
     print(

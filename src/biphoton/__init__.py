@@ -43,6 +43,7 @@ from .calibrate import (
     eta_klyshko,
     fit_theta_curve,
     visibility,
+    visibility_sigma,
 )
 from .polarization import (
     ImpossibleOutcomeError,
@@ -68,6 +69,9 @@ from .simulate import (
     EventRecords,
     SimResult,
     ThetaScanPoint,
+    conditional_counts,
+    hv_counts,
+    klyshko_counts,
     run_conditional_experiment,
     run_klyshko_experiment,
     scan_delay,

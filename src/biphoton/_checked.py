@@ -38,11 +38,33 @@ def _choices(options: tuple) -> dict:
     return {"admits": (lambda value: value if value in options else None, f"one of {options}")}
 
 
+def _stored(value, rule: dict) -> tuple:
+    """(what a field of metadata ``rule`` stores of ``value`` or None, the rule's description)."""
+    admit, description = rule["admits"]
+    try:
+        return admit(value), description
+    except OverflowError:
+        return None, "a number a float can hold"
+
+
+def _admit(label: str, name: str, value, rule: dict, error: type):
+    """What field ``name`` of metadata ``rule`` stores of ``value``, else ``error``."""
+    stored, description = _stored(value, rule)
+    if stored is None:
+        try:
+            shown = repr(value)
+        except ValueError:  # an int or Fraction of more digits than str() may write
+            shown = f"<{type(value).__name__} too long to print>"
+        raise error(f"{label}: {name} = {shown} must be {description}")
+    return stored
+
+
 @functools.cache
 def _rules(cls) -> tuple:
-    """``(name, admit, description)`` of each declared field; ``admit`` returns the
-    value to store, or None outside the range."""
-    return tuple((f.name, *f.metadata["admits"]) for f in fields(cls) if "admits" in f.metadata)
+    """``(name, admit, metadata)`` of each field that declares what it admits."""
+    return tuple(
+        (f.name, f.metadata["admits"][0], f.metadata) for f in fields(cls) if "admits" in f.metadata
+    )
 
 
 class _Checked:
@@ -52,13 +74,13 @@ class _Checked:
         return type(self).__name__
 
     def __post_init__(self):
-        for name, admit, description in _rules(type(self)):
+        for name, admit, rule in _rules(type(self)):
             value = getattr(self, name)
             try:
                 stored = admit(value)
             except OverflowError:
-                stored, description = None, "a number a float can hold"
-            if stored is None:
-                raise self._error(f"{self._label()}: {name} = {value!r} must be {description}")
+                stored = None
+            if stored is None:  # raises, naming the field
+                _admit(self._label(), name, value, rule, self._error)
             if stored is not value:
                 object.__setattr__(self, name, stored)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from ._checked import _Checked, _range
+from ._checked import _Checked, _range, _stored
 
 _NS_TO_S = 1.0e-9
 # Largest count fit_theta_curve accepts.  Its delta-method gradient divides by
@@ -104,6 +104,16 @@ def visibility(n_max: float, n_min: float) -> float:
     return (n_max - n_min) / total
 
 
+def visibility_sigma(n_max: float, n_min: float) -> float:
+    """Standard deviation of :func:`visibility` for independent Poisson counts,
+    to first order: 2 sqrt(n_max n_min (n_max + n_min)) / (n_max + n_min)**2."""
+    total = n_max + n_min
+    if not (n_max >= 0 and n_min >= 0 and 0 < total < math.inf):
+        raise CalibrationError("visibility_sigma undefined: need counts >= 0 with a finite sum > 0")
+    # the same as the docstring's form, but no product of counts overflows
+    return 2.0 * math.sqrt(n_max / total * (n_min / total)) / math.sqrt(total)
+
+
 def eta_conditional(c: CountSummary) -> Estimate:
     """Trigger-detector efficiency from singles and coincidence contrasts.
 
@@ -161,14 +171,15 @@ def drift_rescale(
     """Rescale all rates by reference/observed to undo a source-power drift.
 
     The reference ratio is an explicit input; nothing here tries to infer
-    it from the data.  Both references must be finite and > 0, with a ratio
-    that is too.
+    it from the data.  Both references must be finite numbers > 0, with a
+    ratio that is too; they are taken as floats, as the records take theirs.
     """
     references = {"reference_singles": reference_singles, "observed_singles": observed_singles}
     for name, value in references.items():
-        if not 0 < value < math.inf:
-            raise CalibrationError(f"drift_rescale: {name} must be finite and > 0")
-    k = reference_singles / observed_singles
+        references[name], description = _stored(value, _range(0.0, lo_open=True))
+        if references[name] is None:
+            raise CalibrationError(f"drift_rescale: {name} must be {description}")
+    k = references["reference_singles"] / references["observed_singles"]
     if not 0 < k < math.inf:
         raise CalibrationError(
             "drift_rescale: reference_singles / observed_singles is out of floating-point range"

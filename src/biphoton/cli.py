@@ -35,9 +35,12 @@ from .calibrate import (
     eta_klyshko,
     fit_theta_curve,
     visibility,
+    visibility_sigma,
 )
 from .scenario import load_config, parse_counts
 from .simulate import (
+    conditional_counts,
+    klyshko_counts,
     run_conditional_experiment,
     run_klyshko_experiment,
     scan_delay,
@@ -263,25 +266,14 @@ def _cmd_selftest(args) -> int:
     checks: list[tuple[str, float, float]] = []
 
     cfg = BenchConfig(pair_rate_hz=2.0e4, pockels=replace(BenchConfig().pockels, q=0.832))
-    res_h, res_v = scan_theta(cfg, (0.0, 90.0), 6.0, seed)
+    summary = conditional_counts(cfg, 6.0, seed)
+    for kind, n_max, n_min, predicted in (
+        ("singles", summary.n_v, summary.n_h, predict_singles_visibility(cfg)),
+        ("coincidence", summary.nc_v, summary.nc_h, predict_coincidence_visibility(cfg)),
+    ):
+        z = abs(visibility(n_max, n_min) - predicted) / visibility_sigma(n_max, n_min)
+        checks.append((f"{kind} visibility vs closed form", z, 4.0))
 
-    def vis_sigma(a: float, b: float) -> float:
-        # Poisson counts through v = (a - b)/(a + b)
-        return 2.0 * math.sqrt(a * b * (a + b)) / (a + b) ** 2
-
-    vis_singles = visibility(res_v.singles, res_h.singles)
-    sig = vis_sigma(res_v.singles, res_h.singles)
-    z = abs(vis_singles - predict_singles_visibility(cfg)) / sig
-    checks.append(("singles visibility vs closed form", z, 4.0))
-
-    vis_coinc = visibility(res_v.coincidences, res_h.coincidences)
-    sig = vis_sigma(res_v.coincidences, res_h.coincidences)
-    z = abs(vis_coinc - predict_coincidence_visibility(cfg)) / sig
-    checks.append(("coincidence visibility vs closed form", z, 4.0))
-
-    summary = CountSummary(
-        n_h=res_h.singles, n_v=res_v.singles, nc_h=res_h.coincidences, nc_v=res_v.coincidences
-    )
     poisson = [math.sqrt(getattr(summary, n)) for n in INPUT_NAMES["conditional"]]
     budget = budget_conditional(_rows(summary, poisson))
     z = abs(eta_conditional(summary).value - cfg.det1.eta) / budget.combined_u
@@ -293,14 +285,7 @@ def _cmd_selftest(args) -> int:
         det2=replace(BenchConfig().det2, eta=0.60, dead_time_ns=0.0),
     )
     kres = run_klyshko_experiment(kcfg, 4.0, subseed(seed, 2))
-    k = KlyshkoCounts(
-        n_signal=kres.singles_trigger / kres.duration_s,
-        n_idler=kres.singles_analyzer / kres.duration_s,
-        n_coincidence=kres.coincidences / kres.duration_s,
-        tau_ns=kcfg.det1.dead_time_ns,
-        t_ns=kcfg.tac.stop_delay_ns,
-    )
-    est = eta_klyshko(k)
+    est = eta_klyshko(klyshko_counts(kres))
     sigma = math.sqrt(est.value * (1 - est.value) / kres.singles_analyzer)
     z = abs(est.value - kcfg.det1.eta) / sigma
     checks.append(("klyshko corrected estimator recovers eta", z, 4.0))

@@ -39,6 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bench import BenchConfig
+from .calibrate import CalibrationError, CountSummary, KlyshkoCounts
 from .polarization import Projector, apply_channel, conditional_state, depolarizer, make_state
 
 CHANNELS = ("trigger", "analyzer")
@@ -624,6 +625,33 @@ def scan_delay(
             )
         )
     return points
+
+
+def hv_counts(points) -> CountSummary:
+    """The conditional estimator's counts: the 0-deg (H) and 90-deg (V) points of a theta scan."""
+    by_angle = {p.theta_deg: p for p in points}
+    if not {0.0, 90.0} <= by_angle.keys():
+        raise CalibrationError("hv_counts: the scan has no point at 0 deg or none at 90 deg")
+    h, v = by_angle[0.0], by_angle[90.0]
+    return CountSummary(n_h=h.singles, n_v=v.singles, nc_h=h.coincidences, nc_v=v.coincidences)
+
+
+def conditional_counts(cfg: BenchConfig, duration_s: float, seed: int) -> CountSummary:
+    """:func:`hv_counts` of the theta scan over (0, 90) deg: subseeds (seed, 0) and (seed, 1)."""
+    return hv_counts(scan_theta(cfg, (0.0, 90.0), duration_s, seed))
+
+
+def klyshko_counts(res: SimResult) -> KlyshkoCounts:
+    """The direct calibration's rates of a Klyshko run: the device under test is
+    the trigger channel, tau its dead time and T the TAC's stop-line delay."""
+    d = res.duration_s
+    if not d > 0:
+        raise CalibrationError("klyshko_counts: a run of zero duration has no rates")
+    return KlyshkoCounts(
+        n_signal=res.singles_trigger / d, n_idler=res.singles_analyzer / d,
+        n_coincidence=res.coincidences / d,
+        tau_ns=res.config.det1.dead_time_ns, t_ns=res.config.tac.stop_delay_ns,
+    )
 
 
 # The event CSV writer builds each chunk as a matrix of fixed-width byte

@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._checked import _Checked, _choices, _range
+from ._checked import _admit, _Checked, _choices, _range
 from .calibrate import (
     _NS_TO_S,
     CalibrationError,
@@ -79,7 +79,9 @@ class UncertainInput(_Checked):
 
     @classmethod
     def rectangular(cls, name: str, value: float, half_width: float) -> "UncertainInput":
-        """Rectangular input of given half-width; std_dev = half_width / sqrt(3)."""
+        """Rectangular input of half-width (a number >= 0); std_dev = half_width / sqrt(3)."""
+        label = f"UncertainInput {name}"
+        half_width = _admit(label, "half_width", half_width, _range(0.0), ValueError)
         return cls(name, value, half_width / math.sqrt(3.0), "rectangular")
 
 

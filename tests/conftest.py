@@ -403,12 +403,6 @@ def event_csv_reference(records, path) -> None:
             fh.write(f"{r.channel},{r.time_ns!r},{r.origin}\n")
 
 
-def poisson_visibility_sigma(n_max: float, n_min: float) -> float:
-    """Standard deviation of (a-b)/(a+b) for independent Poisson counts."""
-    s = n_max + n_min
-    return 2.0 * math.sqrt(n_max * n_min * s) / s**2
-
-
 @pytest.fixture(scope="session")
 def reference_conditional_inputs():
     """The worked example count set used throughout the docs and tests."""

@@ -7,7 +7,6 @@ per-criterion lines on a passing suite.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,13 +21,15 @@ from biphoton.calibrate import (
     eta_klyshko,
     visibility,
 )
-from biphoton.polarization import Projector, heralded_idler_state
+from biphoton.polarization import heralded_idler_state
 from biphoton.polarization import degree_of_polarization, von_neumann_entropy
 from biphoton.simulate import (
+    conditional_counts,
+    hv_counts,
+    klyshko_counts,
     run_klyshko_experiment,
     scan_delay,
     scan_theta,
-    subseed,
 )
 from biphoton.uncertainty import (
     UncertainInput,
@@ -58,23 +59,6 @@ def poisson_budget(c: CountSummary):
             UncertainInput("nc_h", c.nc_h, math.sqrt(max(c.nc_h, 1.0))),
             UncertainInput("nc_v", c.nc_v, math.sqrt(max(c.nc_v, 1.0))),
         ]
-    )
-
-
-def hv_summary(cfg: BenchConfig, duration_s: float, seed: int) -> CountSummary:
-    from biphoton.simulate import run_conditional_experiment
-
-    res_h = run_conditional_experiment(
-        replace(cfg, analyzer=Projector(0.0)), duration_s, subseed(seed, 0)
-    )
-    res_v = run_conditional_experiment(
-        replace(cfg, analyzer=Projector(90.0)), duration_s, subseed(seed, 1)
-    )
-    return CountSummary(
-        n_h=res_h.singles_analyzer,
-        n_v=res_v.singles_analyzer,
-        nc_h=res_h.coincidences,
-        nc_v=res_v.coincidences,
     )
 
 
@@ -163,13 +147,7 @@ def test_criterion_05_simulation_pipeline_recovers_eta1():
     started = time.perf_counter()
     points = scan_theta(cfg, angles, duration, seed=0)
     elapsed = time.perf_counter() - started
-    by_angle = {p.theta_deg: p for p in points}
-    summary = CountSummary(
-        n_h=by_angle[0.0].singles,
-        n_v=by_angle[90.0].singles,
-        nc_h=by_angle[0.0].coincidences,
-        nc_v=by_angle[90.0].coincidences,
-    )
+    summary = hv_counts(points)
     est = eta_conditional(summary).value
     u = poisson_budget(summary).combined_u
     ok = abs(est - eta1) <= 3.0 * u and elapsed < 30.0
@@ -191,14 +169,7 @@ def test_criterion_06_klyshko_closure_with_dead_time():
         tac=TacParams(window_ns=2.0, stop_delay_ns=9.3),
     )
     res = run_klyshko_experiment(cfg, 10.0, seed=8)
-    d = res.duration_s
-    counts = KlyshkoCounts(
-        n_signal=res.singles_trigger / d,
-        n_idler=res.singles_analyzer / d,
-        n_coincidence=res.coincidences / d,
-        tau_ns=cfg.det1.dead_time_ns,
-        t_ns=cfg.tac.stop_delay_ns,
-    )
+    counts = klyshko_counts(res)
     uncorrected = counts.n_coincidence / counts.n_idler
     corrected = eta_klyshko(counts).value
     bias = 1.0 - uncorrected / true_eta
@@ -224,7 +195,7 @@ def test_criterion_07_estimator_exact_under_depolarizer(eta1, q):
         det2=DetectorParams(eta=0.40, dead_time_ns=40.0),
         pockels=PockelsParams(q=q),
     )
-    summary = hv_summary(cfg, 10.0, seed=int(1000 * eta1 + 10 * q))
+    summary = conditional_counts(cfg, 10.0, seed=int(1000 * eta1 + 10 * q))
     est = eta_conditional(summary).value
     u = poisson_budget(summary).combined_u
     ok = abs(est - eta1) <= 3.0 * u
@@ -250,7 +221,7 @@ def test_criterion_07_estimator_bias_under_bernoulli():
         det2=DetectorParams(eta=0.40, dead_time_ns=40.0),
         pockels=PockelsParams(q=q, failure_model="bernoulli_identity"),
     )
-    summary = hv_summary(cfg, 20.0, seed=3)
+    summary = conditional_counts(cfg, 20.0, seed=3)
     est = eta_conditional(summary).value
     u = poisson_budget(summary).combined_u
     ok = abs(est - target) <= 3.0 * u

@@ -44,6 +44,7 @@ PUBLIC_NAMES = [
     "budget_conditional",
     "budget_csv",
     "budget_klyshko",
+    "conditional_counts",
     "conditional_state",
     "degree_of_polarization",
     "depolarizer",
@@ -53,6 +54,8 @@ PUBLIC_NAMES = [
     "fit_theta_curve",
     "format_budget",
     "heralded_idler_state",
+    "hv_counts",
+    "klyshko_counts",
     "linear_ket",
     "load_config",
     "make_state",
@@ -73,6 +76,7 @@ PUBLIC_NAMES = [
     "subseed",
     "tac_coincidences",
     "visibility",
+    "visibility_sigma",
     "von_neumann_entropy",
     "write_event_csv",
 ]

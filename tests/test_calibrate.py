@@ -25,9 +25,10 @@ from biphoton.calibrate import (
     fit_theta_curve,
     klyshko_corrections,
     visibility,
+    visibility_sigma,
 )
 from biphoton.polarization import Projector
-from biphoton.simulate import run_conditional_experiment, subseed
+from biphoton.simulate import conditional_counts, run_conditional_experiment
 
 REFERENCE = CountSummary(n_h=76.6, n_v=165.9, nc_h=4.4, nc_v=48.7)
 
@@ -46,6 +47,21 @@ def test_visibility_zero_and_sign():
     assert visibility(10.0, 30.0) == -0.5
     with pytest.raises(CalibrationError):
         visibility(0.0, 0.0)
+
+
+def test_visibility_sigma_matches_the_spread_of_poisson_draws():
+    # 200k draws put the sample sd within 0.2% (1 sigma) of the true one; the
+    # first-order form is within 0.3% of it at these counts
+    rng = np.random.default_rng(2024)
+    for n_max, n_min in ((400.0, 100.0), (1000.0, 950.0), (3000.0, 60.0)):
+        a, b = rng.poisson(n_max, 200_000), rng.poisson(n_min, 200_000)
+        spread = float(np.std((a - b) / (a + b), ddof=1))
+        assert visibility_sigma(n_max, n_min) == pytest.approx(spread, rel=0.01)
+    assert visibility_sigma(100.0, 0.0) == 0.0
+    assert visibility_sigma(1e200, 1e200) == pytest.approx(math.sqrt(0.5) * 1e-100, rel=1e-15)
+    for n_max, n_min in ((0.0, 0.0), (-1.0, 5.0), (math.inf, 1.0), (math.nan, 1.0)):
+        with pytest.raises(CalibrationError, match="visibility_sigma"):
+            visibility_sigma(n_max, n_min)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +190,11 @@ def test_a_number_no_float_can_hold_raises_the_record_error():
         BenchConfig(pair_rate_hz=10**400)
     with pytest.raises(CalibrationError, match="^KlyshkoCounts: t_ns = Fraction"):
         KlyshkoCounts(100.0, 10.0, 1.0, tau_ns=0.0, t_ns=Fraction(10**400))
+    # more digits than str() writes by default (4300 on Python >= 3.11)
+    with pytest.raises(ConfigError, match="^BenchConfig: pair_rate_hz = .* float can hold$"):
+        BenchConfig(pair_rate_hz=10**5000)
+    with pytest.raises(CalibrationError, match="^KlyshkoCounts: t_ns = .* float can hold$"):
+        KlyshkoCounts(100.0, 10.0, 1.0, tau_ns=0.0, t_ns=Fraction(10**5000, 3))
 
 
 @pytest.mark.parametrize("u", [-1.0, math.nan])
@@ -259,7 +280,6 @@ def test_background_subtract_recovers_visibility_on_simulated_run():
     # paired runs: background raises both singles rates equally, washing the
     # visibility out; subtracting the known background rate restores it
     from biphoton.bench import PockelsParams as _P
-    from biphoton.simulate import run_conditional_experiment as _run
 
     cfg = BenchConfig(
         pair_rate_hz=2.0e4,
@@ -269,24 +289,13 @@ def test_background_subtract_recovers_visibility_on_simulated_run():
         background_rate_hz=3.0e3,
     )
     duration = 20.0
-    res_h = _run(replace(cfg, analyzer=Projector(0.0)), duration, subseed(8, 0))
-    res_v = _run(replace(cfg, analyzer=Projector(90.0)), duration, subseed(8, 1))
-    raw = visibility(res_v.singles_analyzer, res_h.singles_analyzer)
-    clean = background_subtract(
-        CountSummary(
-            n_h=res_h.singles_analyzer,
-            n_v=res_v.singles_analyzer,
-            nc_h=res_h.coincidences,
-            nc_v=res_v.coincidences,
-            background_h=cfg.background_rate_hz * duration,
-            background_v=cfg.background_rate_hz * duration,
-        )
-    )
+    c = conditional_counts(cfg, duration, 8)
+    raw = visibility(c.n_v, c.n_h)
+    background = cfg.background_rate_hz * duration
+    clean = background_subtract(replace(c, background_h=background, background_v=background))
     recovered = visibility(clean.n_v, clean.n_h)
     expected = 0.45 * 0.832
-    sigma = 2.0 * math.sqrt(
-        clean.n_v * clean.n_h * (clean.n_v + clean.n_h)
-    ) / (clean.n_v + clean.n_h) ** 2
+    sigma = visibility_sigma(clean.n_v, clean.n_h)
     assert raw < expected - 5.0 * sigma  # background visibly dilutes
     assert abs(recovered - expected) < 2.0 * sigma
 
@@ -332,11 +341,22 @@ def test_drift_rescale_scales_every_field():
         (1.0, -2.0, "observed_singles must be finite and > 0"),
         (1e300, 1e-300, "out of floating-point range"),
         (1e-300, 1e300, "out of floating-point range"),
+        ("1", 2.0, "^drift_rescale: reference_singles must be finite and > 0"),
+        (1.0, None, "^drift_rescale: observed_singles must be finite and > 0"),
+        pytest.param(10**5000, 1.0, "reference_singles must be a number a float", id="10**5000"),
     ],
 )
 def test_drift_rescale_rejects_references_out_of_range(reference, observed, message):
     with pytest.raises(CalibrationError, match=message):
         drift_rescale(CountSummary(100.0, 200.0, 5.0, 40.0), reference, observed)
+
+
+@pytest.mark.parametrize("number", [Decimal, Fraction, np.int64])
+def test_drift_rescale_takes_numbers_of_other_types_as_floats(number):
+    c = CountSummary(100.0, 200.0, 5.0, 40.0, background_h=3.0)
+    given, floats = drift_rescale(c, number(7), number(3)), drift_rescale(c, 7.0, 3.0)
+    for f in fields(CountSummary):
+        assert getattr(given, f.name).hex() == getattr(floats, f.name).hex(), f.name
 
 
 _rates = st.floats(1e-3, 1e7)
@@ -485,21 +505,6 @@ def test_fit_poisson_recovery_within_two_sigma():
 # expressed against the standard error of the mean, so it is scale-free)
 
 
-def _simulated_summary(cfg: BenchConfig, duration_s: float, seed: int) -> CountSummary:
-    res_h = run_conditional_experiment(
-        replace(cfg, analyzer=Projector(0.0)), duration_s, subseed(seed, 0)
-    )
-    res_v = run_conditional_experiment(
-        replace(cfg, analyzer=Projector(90.0)), duration_s, subseed(seed, 1)
-    )
-    return CountSummary(
-        n_h=res_h.singles_analyzer,
-        n_v=res_v.singles_analyzer,
-        nc_h=res_h.coincidences,
-        nc_v=res_v.coincidences,
-    )
-
-
 def test_estimator_consistent_under_depolarizer_model():
     eta1 = 0.45
     cfg = BenchConfig(
@@ -509,7 +514,7 @@ def test_estimator_consistent_under_depolarizer_model():
         pockels=PockelsParams(q=0.832),
     )
     estimates = [
-        eta_conditional(_simulated_summary(cfg, 3.0, seed)).value for seed in range(20)
+        eta_conditional(conditional_counts(cfg, 3.0, seed)).value for seed in range(20)
     ]
     mean = float(np.mean(estimates))
     sem = float(np.std(estimates, ddof=1)) / math.sqrt(len(estimates))
@@ -531,7 +536,7 @@ def test_estimator_bias_under_bernoulli_model_matches_enumeration():
     p_ok = (1.0 + q) / 2.0
     assert target == pytest.approx(eta1 * p_ok / (2 * p_ok - 1), rel=1e-12)
     estimates = [
-        eta_conditional(_simulated_summary(cfg, 3.0, 100 + seed)).value
+        eta_conditional(conditional_counts(cfg, 3.0, 100 + seed)).value
         for seed in range(20)
     ]
     mean = float(np.mean(estimates))

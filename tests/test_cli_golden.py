@@ -1,8 +1,9 @@
 """The CLI writes exactly what it wrote when its digests were recorded.
 
 Each case runs ``biphoton`` in-process on the files in ``demos/data``, on
-counts files derived from them, or, for the self-test, on nothing; it pins the sha256 of its standard
-output and, where it writes one, of its ``--out`` file.  A change that
+counts files derived from them or, for the self-test, on no file.  It pins
+the sha256 of its standard output and, where it writes one, of its
+``--out`` file.  A change that
 moves any printed count, estimate, budget line or CSV byte fails here and
 must say why.
 """

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import conditional_run_reference, poisson_visibility_sigma, tac_reference
+from conftest import conditional_run_reference, tac_reference
 from biphoton import simulate
 from biphoton.bench import (
     MAX_DELAY_NS,
@@ -19,13 +19,24 @@ from biphoton.bench import (
     predict_singles_rate,
     predict_singles_visibility,
 )
-from biphoton.calibrate import fit_theta_curve, visibility
+from biphoton.calibrate import (
+    CalibrationError,
+    CountSummary,
+    KlyshkoCounts,
+    fit_theta_curve,
+    visibility,
+    visibility_sigma,
+)
 from biphoton.polarization import Projector
 from biphoton.simulate import (
     EventRecords,
     RunTooLargeError,
     SimResult,
+    ThetaScanPoint,
+    conditional_counts,
     driver_gate,
+    hv_counts,
+    klyshko_counts,
     run_conditional_experiment,
     run_klyshko_experiment,
     scan_delay,
@@ -50,20 +61,6 @@ def closure_config(eta1=0.45, eta2=0.40, q=1.0, **kwargs) -> BenchConfig:
 
 def counts(res):
     return res.singles_trigger, res.singles_analyzer, res.coincidences
-
-
-def run_hv(cfg, duration_s, seed):
-    res_h = run_conditional_experiment(
-        replace(cfg, analyzer=Projector(0.0, cfg.analyzer.transmittance)),
-        duration_s,
-        subseed(seed, 0),
-    )
-    res_v = run_conditional_experiment(
-        replace(cfg, analyzer=Projector(90.0, cfg.analyzer.transmittance)),
-        duration_s,
-        subseed(seed, 1),
-    )
-    return res_h, res_v
 
 
 # ---------------------------------------------------------------------------
@@ -140,25 +137,25 @@ def test_coincidences_bounded_by_singles():
 def test_singles_rates_match_prediction():
     cfg = closure_config(q=0.832)
     duration = 25.0
-    res_h, res_v = run_hv(cfg, duration, 42)
-    for theta, res in ((0.0, res_h), (90.0, res_v)):
+    c = conditional_counts(cfg, duration, 42)
+    for theta, singles in ((0.0, c.n_h), (90.0, c.n_v)):
         expected = predict_singles_rate(cfg, theta) * duration
-        assert abs(res.singles_analyzer - expected) < 3.0 * math.sqrt(expected)
+        assert abs(singles - expected) < 3.0 * math.sqrt(expected)
 
 
 def test_singles_visibility_matches_prediction():
     cfg = closure_config(q=1.0)
-    res_h, res_v = run_hv(cfg, 25.0, 7)
-    vis = visibility(res_v.singles_analyzer, res_h.singles_analyzer)
-    sigma = poisson_visibility_sigma(res_v.singles_analyzer, res_h.singles_analyzer)
+    c = conditional_counts(cfg, 25.0, 7)
+    vis = visibility(c.n_v, c.n_h)
+    sigma = visibility_sigma(c.n_v, c.n_h)
     assert abs(vis - predict_singles_visibility(cfg)) < 3.0 * sigma
 
 
 def test_coincidence_visibility_matches_prediction():
     cfg = closure_config(q=0.832)
-    res_h, res_v = run_hv(cfg, 25.0, 8)
-    vis = visibility(res_v.coincidences, res_h.coincidences)
-    sigma = poisson_visibility_sigma(res_v.coincidences, res_h.coincidences)
+    c = conditional_counts(cfg, 25.0, 8)
+    vis = visibility(c.nc_v, c.nc_h)
+    sigma = visibility_sigma(c.nc_v, c.nc_h)
     assert abs(vis - predict_coincidence_visibility(cfg)) < 3.0 * sigma
 
 
@@ -190,9 +187,9 @@ def test_coincidence_maximum_shifts_90_degrees_when_rotation_is_off():
 
 def test_state_visibility_dilutes_coincidence_contrast():
     cfg = closure_config(eta1=0.45, q=1.0, state_visibility=0.8)
-    res_h, res_v = run_hv(cfg, 25.0, 9)
-    vis = visibility(res_v.coincidences, res_h.coincidences)
-    sigma = poisson_visibility_sigma(res_v.coincidences, res_h.coincidences)
+    c = conditional_counts(cfg, 25.0, 9)
+    vis = visibility(c.nc_v, c.nc_h)
+    sigma = visibility_sigma(c.nc_v, c.nc_h)
     assert abs(vis - 0.8) < 3.0 * sigma
 
 
@@ -212,7 +209,7 @@ def test_entangled_source_heralds_through_any_basis():
     )
     assert res_max.coincidences > res_min.coincidences
     vis = visibility(res_max.coincidences, res_min.coincidences)
-    sigma = poisson_visibility_sigma(res_max.coincidences, res_min.coincidences)
+    sigma = visibility_sigma(res_max.coincidences, res_min.coincidences)
     assert abs(vis - predict_coincidence_visibility(cfg)) < 3.0 * sigma
 
 
@@ -337,12 +334,12 @@ def test_driver_gate_rejects_unordered_detections_and_bad_policy():
 
 def test_high_trigger_rate_suppresses_rotation():
     high = replace(closure_config(eta1=0.45, q=1.0), pair_rate_hz=1.0e5)
-    res_h, res_v = run_hv(high, 3.0, 19)
+    res_h = run_conditional_experiment(high, 3.0, subseed(19, 0))  # conditional_counts' H run
     assert res_h.singles_trigger / 3.0 > high.driver.rate_threshold_hz
-    vis_high = visibility(res_v.singles_analyzer, res_h.singles_analyzer)
-    low = closure_config(eta1=0.45, q=1.0)
-    res_h, res_v = run_hv(low, 15.0, 19)
-    vis_low = visibility(res_v.singles_analyzer, res_h.singles_analyzer)
+    c = conditional_counts(high, 3.0, 19)
+    vis_high = visibility(c.n_v, c.n_h)
+    c = conditional_counts(closure_config(eta1=0.45, q=1.0), 15.0, 19)
+    vis_low = visibility(c.n_v, c.n_h)
     assert vis_high < 0.5 * vis_low
 
 
@@ -562,6 +559,41 @@ def test_scan_theta_rows_match_input_order_and_subseeds():
     )
     assert points[2].singles == direct.singles_analyzer
     assert points[2].coincidences == direct.coincidences
+
+
+def test_conditional_counts_are_the_h_and_v_runs_on_their_subseeds():
+    # an analyzer transmittance of 0.9 pins that both runs keep it
+    cfg = closure_config(q=0.832, analyzer=Projector(30.0, 0.9))
+    h, v = (
+        run_conditional_experiment(replace(cfg, analyzer=Projector(a, 0.9)), 0.5, subseed(11, k))
+        for k, a in enumerate((0.0, 90.0))
+    )
+    assert conditional_counts(cfg, 0.5, 11) == CountSummary(
+        h.singles_analyzer, v.singles_analyzer, h.coincidences, v.coincidences
+    )
+
+
+def test_hv_counts_takes_the_0_and_90_degree_points_of_a_scan():
+    points = [
+        ThetaScanPoint(90.0, 70, 30), ThetaScanPoint(45.0, 50, 20), ThetaScanPoint(0.0, 110, 1)
+    ]
+    assert hv_counts(points) == CountSummary(n_h=110.0, n_v=70.0, nc_h=1.0, nc_v=30.0)
+    with pytest.raises(CalibrationError, match="no point at 0 deg or none at 90 deg"):
+        hv_counts(points[:2])
+
+
+def test_klyshko_counts_are_the_run_rates_with_det1_dead_time_and_tac_delay():
+    # unequal dead times and a stop delay off its 9.3 ns default show a field read wrongly
+    cfg = BenchConfig(
+        pair_rate_hz=5.0e4, det1=DetectorParams(eta=0.5, dead_time_ns=45.0),
+        det2=DetectorParams(eta=0.4, dead_time_ns=25.0), tac=TacParams(stop_delay_ns=6.5),
+    )
+    res = run_klyshko_experiment(cfg, 0.4, 5)
+    n_s, n_i, n_c = (n / 0.4 for n in counts(res))
+    assert len({n_s, n_i, n_c}) == 3
+    assert klyshko_counts(res) == KlyshkoCounts(n_s, n_i, n_c, tau_ns=45.0, t_ns=6.5)
+    with pytest.raises(CalibrationError, match="zero duration"):
+        klyshko_counts(run_klyshko_experiment(cfg, 0.0, 5))
 
 
 def test_scan_delay_tracks_pulse_tail():

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -67,6 +69,20 @@ def test_rectangular_half_width_conversion():
     t = UncertainInput.rectangular("t_ns", 9.3, 0.5)
     assert t.std_dev == pytest.approx(0.288675, abs=5e-7)
     assert t.distribution == "rectangular"
+
+
+@pytest.mark.parametrize("half_width", [Decimal("0.5"), Fraction(1, 2), np.int64(2)])
+def test_rectangular_takes_numbers_of_other_types_as_floats(half_width):
+    given = UncertainInput.rectangular("t_ns", 9.3, half_width)
+    floats = UncertainInput.rectangular("t_ns", 9.3, float(half_width))
+    assert type(given.std_dev) is float
+    assert given.std_dev.hex() == floats.std_dev.hex()
+
+
+@pytest.mark.parametrize("half_width", ["0.5", None, -0.5, pytest.param(10**5000, id="10**5000")])
+def test_rectangular_rejects_a_bad_half_width_naming_it(half_width):
+    with pytest.raises(ValueError, match="^UncertainInput t_ns: half_width = "):
+        UncertainInput.rectangular("t_ns", 9.3, half_width)
 
 
 def test_poisson_std_helper():
