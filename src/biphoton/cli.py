@@ -39,6 +39,7 @@ from .calibrate import (
 )
 from .scenario import load_config, parse_counts
 from .simulate import (
+    EXPERIMENTS,
     conditional_counts,
     klyshko_counts,
     run_conditional_experiment,
@@ -328,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="summary CSV path (default: stdout)")
     p.add_argument(
         "--experiment",
-        choices=("conditional", "klyshko"),
+        choices=EXPERIMENTS,
         default="conditional",
     )
     p.set_defaults(func=_cmd_simulate)

@@ -44,11 +44,13 @@ from .polarization import Projector, apply_channel, conditional_state, depolariz
 
 CHANNELS = ("trigger", "analyzer")
 ORIGINS = ("pair", "dark", "background")
+# the engines, by the name a SimResult records
+EXPERIMENTS = ("conditional", "klyshko")
 
 _NS_PER_S = 1.0e9
-# A run peaks at about 32 bytes per pair (conditional; Klyshko 24, 27 with
+# A run peaks at about 30 bytes per pair (conditional; Klyshko 24, 27 with
 # records; traced with tracemalloc at 1e6 pairs), so a run of this many
-# expected events peaks near 1.5 GiB.
+# expected events peaks near 1.4 GiB.
 MAX_EXPECTED_EVENTS = 5.0e7
 
 
@@ -137,8 +139,9 @@ class EventRecords:
 class SimResult:
     """Aggregated counts of one run, plus the inputs that produced them.
 
-    For the Klyshko experiment the device under test maps onto the
-    ``trigger`` channel and the heralding arm onto ``analyzer``.
+    ``experiment`` names the engine that made the run, one of
+    :data:`EXPERIMENTS`.  For the Klyshko experiment the device under test
+    maps onto the ``trigger`` channel and the heralding arm onto ``analyzer``.
     """
 
     duration_s: float
@@ -147,9 +150,14 @@ class SimResult:
     coincidences: int
     config: BenchConfig
     seed: int
+    experiment: str
     records: EventRecords | None = None
 
     def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ValueError(
+                f"SimResult: experiment must be one of {EXPERIMENTS}, got {self.experiment!r}"
+            )
         if min(self.singles_trigger, self.singles_analyzer, self.coincidences) < 0:
             raise ValueError("SimResult: counts must be >= 0")
         if self.coincidences > min(self.singles_trigger, self.singles_analyzer):
@@ -426,12 +434,13 @@ def _result(
     cfg: BenchConfig,
     duration_s: float,
     seed: int,
+    experiment: str,
     trigger: tuple[np.ndarray, np.ndarray],
     analyzer: tuple[np.ndarray, np.ndarray],
     starts: np.ndarray,
     keep_records: bool,
 ) -> SimResult:
-    """Coincidences of the two detected (times, origin tags) arms, as a SimResult.
+    """Coincidences of the two detected (times, origin tags) arms, as ``experiment``'s SimResult.
 
     ``starts`` are the TAC start times: the trigger times, delayed by any
     constant path offset of the analyzer arm so that pair partners meet in
@@ -448,6 +457,7 @@ def _result(
         coincidences=coincidences,
         config=cfg,
         seed=seed,
+        experiment=experiment,
         records=_records_for(trigger, analyzer) if keep_records else None,
     )
 
@@ -495,6 +505,21 @@ def _idler_detect_probabilities(cfg: BenchConfig) -> tuple[float, list[float]]:
     return p_pass, [p_perp, p_copol, p_turned]
 
 
+def _below_group_probability(
+    u: np.ndarray, copol: np.ndarray, p_copol: float, p_perp: float, out: np.ndarray
+) -> np.ndarray:
+    """``u < np.where(copol, p_copol, p_perp)`` written into the bool array ``out``.
+
+    Each draw meets the same double as in the float form, so the bits agree,
+    but no float array is built: choosing between two scalars per element is
+    slow in ``np.where``, and fast as boolean arithmetic.
+    """
+    np.less(u, p_copol, out=out)
+    out &= copol
+    out |= (u < p_perp) & ~copol
+    return out
+
+
 def run_conditional_experiment(
     cfg: BenchConfig, duration_s: float, seed: int, keep_records: bool = False
 ) -> SimResult:
@@ -512,26 +537,30 @@ def run_conditional_experiment(
     constant path offset compensated in the start line.
     """
     rng, t_pairs = _pair_stream(cfg, duration_s, seed)
-    n_pairs = len(t_pairs)
 
     # used only as draws in [0, 1) < p, where a p outside [0, 1] acts as its clip
-    p_pass, p_detect2 = _idler_detect_probabilities(cfg)
+    p_pass, (p_perp, p_copol, p_turned) = _idler_detect_probabilities(cfg)
+
+    # One buffer holds each per-pair draw in turn: random(out=u) gives the
+    # bits of random(n) in the same generator order.
+    u = rng.random(len(t_pairs))
+    copol = u < p_pass
 
     # trigger arm: each detection is tagged with its pair's index, -1 for a dark
-    copol = rng.random(n_pairs) < p_pass
-    cand1 = np.flatnonzero(
-        copol & (rng.random(n_pairs) < cfg.trigger_projector.transmittance * cfg.det1.eta)
-    )
+    hit = np.less(rng.random(out=u), cfg.trigger_projector.transmittance * cfg.det1.eta)
+    hit &= copol
+    cand1 = np.flatnonzero(hit)
     dark1 = _poisson_stream(rng, cfg.det1.dark_rate_hz, duration_s)
     t_det1, pair_det1 = _detect(cfg.det1.dead_time_ns, (t_pairs[cand1], cand1), (dark1, -1))
     fired = driver_gate(
         t_det1, cfg.driver.rate_threshold_hz, cfg.driver.disable_duration_s
     )
 
-    # idler arm: pulsed pairs are copolarized ones, so their probability goes on last
-    p_pair = np.where(copol, p_detect2[1], p_detect2[0])
-    p_pair[pair_det1[fired & (pair_det1 >= 0)]] = p_detect2[2]
-    cand2 = rng.random(n_pairs) < p_pair
+    # idler arm: each pair's draw is compared with its group's probability;
+    # pulsed pairs are copolarized ones, so their comparison goes on last
+    cand2 = _below_group_probability(rng.random(out=u), copol, p_copol, p_perp, out=hit)
+    pulsed = pair_det1[fired & (pair_det1 >= 0)]
+    cand2[pulsed] = u[pulsed] < p_turned
     idler_offset_ns = cfg.fiber_delay_ns + cfg.electronic_delay_ns
     dark2 = _poisson_stream(rng, cfg.det2.dark_rate_hz, duration_s)
     backgr = _poisson_stream(rng, cfg.background_rate_hz, duration_s)
@@ -542,7 +571,8 @@ def run_conditional_experiment(
         (backgr, 2),
     )
     trigger = (t_det1, (pair_det1 < 0).view(np.int8))  # a dark's origin is 1
-    return _result(cfg, duration_s, seed, trigger, analyzer, t_det1 + idler_offset_ns, keep_records)
+    starts = t_det1 + idler_offset_ns
+    return _result(cfg, duration_s, seed, "conditional", trigger, analyzer, starts, keep_records)
 
 
 def run_klyshko_experiment(
@@ -569,7 +599,7 @@ def run_klyshko_experiment(
     analyzer = _detect(
         cfg.det2.dead_time_ns, (t_pairs.compress(cand2), 0), (dark2, 1), (backgr, 2)
     )
-    return _result(cfg, duration_s, seed, trigger, analyzer, trigger[0], keep_records)
+    return _result(cfg, duration_s, seed, "klyshko", trigger, analyzer, trigger[0], keep_records)
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +674,11 @@ def conditional_counts(cfg: BenchConfig, duration_s: float, seed: int) -> CountS
 def klyshko_counts(res: SimResult) -> KlyshkoCounts:
     """The direct calibration's rates of a Klyshko run: the device under test is
     the trigger channel, tau its dead time and T the TAC's stop-line delay."""
+    if res.experiment != "klyshko":
+        raise CalibrationError(
+            f"klyshko_counts: a {res.experiment} run has no Klyshko rates;"
+            " use run_klyshko_experiment"
+        )
     d = res.duration_s
     if not d > 0:
         raise CalibrationError("klyshko_counts: a run of zero duration has no rates")

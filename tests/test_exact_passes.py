@@ -8,7 +8,9 @@ the first and is compared with the stable sort it replaces.  Times on a
 coarse grid make ties and exact hits on a window edge common.  The memoized
 idler states are compared with the per-run construction they replace in the
 same way, and the conditional and Klyshko runs, records included, with run
-bodies built from the references.
+bodies built from the references.  The conditional run refills one draw
+buffer and picks each pair's idler comparison with boolean arithmetic; both
+are compared with the fresh draws and the float ``np.where`` they replace.
 """
 
 import math
@@ -479,11 +481,58 @@ def turned_analyzer_config(failure_model):
     cfg=BenchConfig(pair_rate_hz=2.0e4, det1=DetectorParams(eta=0.45, dead_time_ns=40.0, dark_rate_hz=2.0e4)),
     seed=2,
 )
+@example(
+    # no pairs, so an empty draw buffer, next to dark and background streams on both arms
+    cfg=BenchConfig(
+        pair_rate_hz=0.0,
+        det1=DetectorParams(eta=0.45, dead_time_ns=40.0, dark_rate_hz=2.0e4),
+        det2=DetectorParams(eta=0.4, dead_time_ns=40.0, dark_rate_hz=2.0e4),
+        background_rate_hz=2.0e4,
+    ),
+    seed=3,
+)
 def test_conditional_run_matches_the_group_reference(cfg, seed):
     res = simulate.run_conditional_experiment(cfg, 0.02, seed, keep_records=True)
     expected_counts, expected_records = conditional_run_reference(cfg, 0.02, seed)
     assert counts(res) == expected_counts
     assert res.records == expected_records
+
+
+@settings(max_examples=50)
+@given(st.integers(0, 2**32), st.integers(0, 50_000))
+@example(seed=0, n=0)
+def test_refilled_draw_buffer_gives_the_bits_of_fresh_draws(seed, n):
+    fresh = np.random.default_rng(seed)
+    expected = [fresh.random(n) for _ in range(3)]
+    refill = np.random.default_rng(seed)
+    u = refill.random(n)
+    draws = [u.copy()] + [refill.random(out=u).copy() for _ in range(2)]
+    assert all(np.array_equal(a, b) for a, b in zip(draws, expected))
+    # the generator is left in the same state too
+    assert refill.random() == fresh.random()
+
+
+# draws and probabilities on one grid, so a probability often equals a drawn
+# value; probabilities also below 0 and above 1
+GRID = [k / 8 for k in range(8)]
+PROBABILITIES = st.sampled_from(GRID + [-0.5, -0.0, 1.0, 1.5, math.nextafter(0.5, 1.0)])
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.tuples(st.sampled_from(GRID), st.booleans()), max_size=40),
+    PROBABILITIES,
+    PROBABILITIES,
+)
+@example(draws=[], p_copol=0.5, p_perp=0.5)
+@example(draws=[(0.5, True), (0.5, False), (0.25, True), (0.25, False)], p_copol=0.5, p_perp=0.25)
+def test_group_selection_equals_the_float_choice(draws, p_copol, p_perp):
+    u = np.array([d for d, _ in draws], dtype=float)
+    copol = np.array([c for _, c in draws], dtype=bool)
+    out = np.empty(len(u), dtype=bool)
+    got = simulate._below_group_probability(u, copol, p_copol, p_perp, out=out)
+    assert got is out
+    assert np.array_equal(got, u < np.where(copol, p_copol, p_perp))
 
 
 @st.composite

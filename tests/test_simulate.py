@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,7 @@ from biphoton.calibrate import (
     visibility_sigma,
 )
 from biphoton.polarization import Projector
+from biphoton.scenario import load_config
 from biphoton.simulate import (
     EventRecords,
     RunTooLargeError,
@@ -45,6 +47,9 @@ from biphoton.simulate import (
     tac_coincidences,
     write_event_csv,
 )
+
+
+CALIBRATION_CFG = Path(__file__).resolve().parents[1] / "demos" / "data" / "bench_calibration.cfg"
 
 
 def closure_config(eta1=0.45, eta2=0.40, q=1.0, **kwargs) -> BenchConfig:
@@ -282,7 +287,17 @@ def test_sim_result_rejects_impossible_counts(
     singles_trigger, singles_analyzer, coincidences, message
 ):
     with pytest.raises(ValueError, match=message):
-        SimResult(1.0, singles_trigger, singles_analyzer, coincidences, BenchConfig(), 0)
+        SimResult(
+            1.0, singles_trigger, singles_analyzer, coincidences, BenchConfig(), 0, "conditional"
+        )
+
+
+def test_sim_result_names_the_engine_that_made_it():
+    cfg = closure_config()
+    assert run_conditional_experiment(cfg, 0.01, 1).experiment == "conditional"
+    assert run_klyshko_experiment(cfg, 0.01, 1).experiment == "klyshko"
+    with pytest.raises(ValueError, match="experiment must be one of"):
+        SimResult(1.0, 5, 5, 0, BenchConfig(), 0, "Klyshko")
 
 
 def test_dead_time_enforced_on_each_channel():
@@ -596,6 +611,12 @@ def test_klyshko_counts_are_the_run_rates_with_det1_dead_time_and_tac_delay():
         klyshko_counts(run_klyshko_experiment(cfg, 0.0, 5))
 
 
+def test_klyshko_counts_rejects_a_conditional_run():
+    # its singles and coincidences are not the two-detector rates eta_klyshko reads
+    with pytest.raises(CalibrationError, match="a conditional run has no Klyshko rates"):
+        klyshko_counts(run_conditional_experiment(BenchConfig(pair_rate_hz=2e4), 0.2, 1))
+
+
 def test_scan_delay_tracks_pulse_tail():
     cfg = closure_config(eta1=0.45, q=1.0)
     delays = [0.0, 2000.0, 3700.0]
@@ -804,3 +825,13 @@ def test_klyshko_run_peaks_under_28_bytes_per_pair():
     )
     run_klyshko_experiment(cfg, 0.001, 1)
     assert traced_peak(run_klyshko_experiment, cfg, 1.0, 3) < 28 * cfg.pair_rate_hz
+
+
+def test_conditional_run_peaks_under_31_bytes_per_pair():
+    # the calibration bench at 1e6 pairs/s: 8 bytes per pair hold its emission
+    # times and 8 the one buffer its three per-pair draws refill; it peaked at
+    # 30.1-30.2 bytes per pair on seeds 1-5, and at 31.9 while each draw and
+    # the idler probabilities had a float array of their own
+    cfg = replace(load_config(CALIBRATION_CFG), pair_rate_hz=1.0e6)
+    run_conditional_experiment(cfg, 0.001, 1)
+    assert traced_peak(run_conditional_experiment, cfg, 1.0, 3) < 31 * cfg.pair_rate_hz
