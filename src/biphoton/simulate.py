@@ -32,6 +32,7 @@ only to dead time.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -180,8 +181,17 @@ class DelayScanPoint:
     coinc_v: int
 
 
+def _check_seed(seed) -> None:
+    """A run's or a scan's seed must be an integer >= 0: a Python or numpy int, not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise TypeError(f"seed = {seed!r} must be an integer")
+    if seed < 0:
+        raise ValueError(f"seed = {seed!r} must be >= 0")
+
+
 def subseed(seed: int, *path: int) -> int:
     """Deterministic 64-bit child seed for scan point ``path``."""
+    _check_seed(seed)
     state = np.random.SeedSequence((seed, *path)).generate_state(2)
     return int(state[0]) << 32 | int(state[1])
 
@@ -341,6 +351,7 @@ def _pair_stream(
     cfg: BenchConfig, duration_s: float, seed: int
 ) -> tuple[np.random.Generator, np.ndarray]:
     """Seeded generator of one run and the sorted emission times of its pairs."""
+    _check_seed(seed)
     if not 0.0 <= duration_s < math.inf:
         raise ValueError(f"duration_s must be finite and >= 0, got {duration_s!r}")
     expected = duration_s * (
@@ -691,10 +702,10 @@ def klyshko_counts(res: SimResult) -> KlyshkoCounts:
 
 # The event CSV writer builds each chunk as a matrix of fixed-width byte
 # cells, NUL where a cell is shorter than its column: "channel,", the time,
-# ",origin\n".  A time cell holds 16 integer digits (2**52 has 16), the point
-# and 12 fraction digits, which is also room for any float's repr.
+# ",origin\n".  A time cell is eight four-byte quads: 16 integer digits
+# (2**52 has 16), "\0\0\0." and 12 fraction digits, room for any float's repr.
 _INT_DIGITS, _FRACTION_DIGITS = 16, 12
-_TIME_CELL = _INT_DIGITS + 1 + _FRACTION_DIGITS
+_TIME_CELL = _INT_DIGITS + 4 + _FRACTION_DIGITS
 
 
 def _byte_cells(texts, width: int) -> np.ndarray:
@@ -704,51 +715,36 @@ def _byte_cells(texts, width: int) -> np.ndarray:
 
 _CHANNEL_CELLS = _byte_cells([f"{name}," for name in CHANNELS], 1 + max(map(len, CHANNELS)))
 _ORIGIN_CELLS = _byte_cells([f",{name}\n" for name in ORIGINS], 2 + max(map(len, ORIGINS)))
-_TIME_START = _CHANNEL_CELLS.shape[1]
-_TIME_END = _TIME_START + _TIME_CELL
-_ROW_BYTES = _TIME_END + _ORIGIN_CELLS.shape[1]
-# "0000" to "9999", four ASCII digits per uint32
-_DIGIT_QUADS = np.frombuffer("".join(f"{i:04d}" for i in range(10_000)).encode(), dtype=np.uint32)
+# "0000" to "9999", four ASCII digits per uint32, then the point quad
+_POINT = 10_000
+_DIGIT_QUADS = np.frombuffer(b"".join(b"%04d" % i for i in range(_POINT)) + b"\0\0\0.", np.uint32)
 _POW10 = np.array([10**n for n in range(_INT_DIGITS + 1)], dtype=np.uint64)
 _POW5 = np.array([5**q for q in range(_FRACTION_DIGITS + 1)], dtype=np.uint64)
 # fewest fraction digits q that read back any float with s fraction bits:
 # 10**q > 2**s, so a q-digit decimal lies inside every rounding interval
 _DIGITS_FOR_BITS = np.array([len(str(2**s)) for s in range(37)])
-# _TIME_MASKS[n, q] keeps n integer digits, the point and q fraction digits
+# row n * (_FRACTION_DIGITS + 1) + q keeps n integer digits, the point, q fraction digits
 _TIME_MASKS = np.where(
     (np.arange(_TIME_CELL) >= _INT_DIGITS - np.arange(_INT_DIGITS + 1)[:, None, None])
-    & (np.arange(_TIME_CELL) <= _INT_DIGITS + np.arange(_FRACTION_DIGITS + 1)[:, None]),
+    & (np.arange(_TIME_CELL) < _INT_DIGITS + 4 + np.arange(_FRACTION_DIGITS + 1)[:, None]),
     0xFF,
     0,
-).astype(np.uint8)
+).astype(np.uint8).reshape(-1, _TIME_CELL)
 
 
 def _nearest_fraction(k, s, q):
-    """Nearest (ties to even) q-digit fraction j to k / 2**s, and whether it reads back.
+    """Nearest (ties to even) q-digit fraction j to k / 2**s: k 5**q / 2**(s-q) rounded.
 
-    j / 10**q reads back as the float when it lies inside the float's
-    rounding interval: 2 |j 2**(s-q) - k 5**q| < 5**q.  5**q is odd, so a
-    candidate never sits on the interval's edge.  All operands are uint64:
-    mixed with int64, numpy 1.x promotes to float64.
+    All operands are uint64: mixed with int64, numpy 1.x promotes to float64.
     """
-    p5 = _POW5[q]
     shift = s - q.astype(np.uint64)
-    twice_err = k * p5  # k 5**q < 2**62 for s <= 36 and q <= ceil(s log10 2)
-    j = twice_err >> shift
-    twice_err -= j << shift  # the remainder, doubled next
-    twice_err <<= np.uint64(1)
+    twice_rem = k * _POW5[q]  # k 5**q < 2**62 for s <= 36 and q <= ceil(s log10 2)
+    j = twice_rem >> shift
+    twice_rem -= j << shift  # the remainder, doubled next
+    twice_rem <<= np.uint64(1)
     one = np.uint64(1) << shift
-    up = (twice_err > one) | ((twice_err == one) & ((j & np.uint64(1)) == 1))
-    np.subtract(one << np.uint64(1), twice_err, out=twice_err, where=up)
-    j += up
-    return j, twice_err < p5
-
-
-def _ascii_digits(v: np.ndarray, width: int) -> np.ndarray:
-    """The ``width`` (12 or 16) low decimal digits of uint64 ``v`` < 10**16 as ASCII rows."""
-    halves = np.stack(np.divmod(v, np.uint64(10**8)), axis=1).astype(np.uint32)
-    quads = np.stack(np.divmod(halves, np.uint32(10**4)), axis=2).reshape(len(v), 4)
-    return _DIGIT_QUADS[quads[:, 4 - width // 4 :]].view(np.uint8)
+    j += (twice_rem > one) | ((twice_rem == one) & ((j & np.uint64(1)) == 1))
+    return j
 
 
 def _shortest_fixed(x: np.ndarray):
@@ -768,31 +764,51 @@ def _shortest_fixed(x: np.ndarray):
     # each bound alone makes q digits read back: 10**q > 2**s, or 17
     # significant digits, which read back any float
     q = np.minimum(_DIGITS_FOR_BITS[s], 17 - n_int)
-    j, _ = _nearest_fraction(k, s, q)
-    # if q - 1 digits read back so do q, so step down until they do not
-    live = np.flatnonzero(q > 0)
+    q[k == 0] = 0  # an integer, kept out of the passes below: 2k - 1 would wrap
+    # In units of 10**-q the fraction's rounding interval runs from
+    # (2k - 1) 5**q / 2**(s-q+1) to (2k + 1) 5**q / 2**(s-q+1), and 5**q is
+    # odd, so neither end is an integer.  With lo and hi the floors of the
+    # ends, q - d digits read back iff a multiple of 10**d lies in (lo, hi].
+    # Each pass drops one digit from the rows where one more can go.
+    live = np.flatnonzero(k)
+    shift = s[live] + np.uint64(1) - q[live].astype(np.uint64)
+    twice_k, p5 = k[live] << np.uint64(1), _POW5[q[live]]  # 2k < 2**37, 5**q < 2**26
+    hi = ((twice_k + np.uint64(1)) * p5) >> shift
+    lo = ((twice_k - np.uint64(1)) * p5) >> shift
     while live.size:
-        fewer = q[live] - 1
-        j_fewer, ok = _nearest_fraction(k[live], s[live], fewer)
-        live = live[ok]
-        q[live], j[live] = fewer[ok], j_fewer[ok]
-        live = live[q[live] > 0]
-    return integer, n_int, j, q
+        hi //= np.uint64(10)
+        lo //= np.uint64(10)
+        fewer = lo < hi
+        live, hi, lo = live[fewer], hi[fewer], lo[fewer]
+        q[live] -= 1
+    return integer, n_int, _nearest_fraction(k, s, q), q
 
 
-def _write_time_cells(x: np.ndarray, cells: np.ndarray) -> None:
-    """Write the repr of each time into a row of ``cells``, NUL-padded."""
+def _time_cells(x: np.ndarray) -> np.ndarray:
+    """The repr of each time as a NUL-padded row of a (len(x), _TIME_CELL) uint8 matrix."""
     fixed = (x >= 2.0**16) & (x < 2.0**52)  # False for NaN
     integer, n_int, j, q = _shortest_fixed(np.where(fixed, x, 2.0**16))
     q = np.maximum(q, 1)  # an integer is written "I.0"
-    cells[:, :_INT_DIGITS] = _ascii_digits(integer, _INT_DIGITS)
-    cells[:, _INT_DIGITS] = ord(".")
-    # j left-aligned in the fraction's columns
-    cells[:, _INT_DIGITS + 1 :] = _ascii_digits(j * _POW10[_FRACTION_DIGITS - q], _FRACTION_DIGITS)
-    cells &= _TIME_MASKS[n_int, q]
+    # integer // 10**8, integer % 10**8, then the same of j left-aligned in 12 digits
+    halves = np.empty((len(x), 4), np.uint32)
+    np.divmod(integer, np.uint64(10**8), out=(halves[:, 0], halves[:, 1]))
+    np.divmod(j * _POW10[_FRACTION_DIGITS - q], np.uint64(10**8), out=(halves[:, 2], halves[:, 3]))
+    halves[:, 2] += np.uint32(_POINT * 10**4)  # the point quad before the fraction's
+    quads = np.empty((len(x), 4, 2), np.uint32)
+    np.divmod(halves, np.uint32(10**4), out=(quads[:, :, 0], quads[:, :, 1]))
+    cells = _DIGIT_QUADS[quads.reshape(len(x), 8)].view(np.uint8)
+    cells &= _TIME_MASKS.take(n_int * (_FRACTION_DIGITS + 1) + q, 0, mode="clip")
     # negative, zero, small, large, subnormal and non-finite times
     rest = np.flatnonzero(~fixed)
     cells[rest] = _byte_cells([repr(t) for t in x[rest].tolist()], _TIME_CELL)
+    return cells
+
+
+def _csv_lines(channel: np.ndarray, time_ns: np.ndarray, origin: np.ndarray) -> bytes:
+    """One chunk of records as CSV lines: its row matrix without the NULs."""
+    cells = [_CHANNEL_CELLS.take(channel, 0, mode="clip"), _time_cells(time_ns)]
+    cells.append(_ORIGIN_CELLS.take(origin, 0, mode="clip"))
+    return np.concatenate(cells, axis=1).tobytes().translate(None, b"\0")
 
 
 def write_event_csv(records: EventRecords, path) -> None:
@@ -811,9 +827,4 @@ def write_event_csv(records: EventRecords, path) -> None:
         )
     with open(path, "wb") as fh:
         fh.write((",".join(DetectionRecord._fields) + "\n").encode())
-        for channel, time_ns, origin in records._chunks():
-            rows = np.empty((len(time_ns), _ROW_BYTES), np.uint8)
-            rows[:, :_TIME_START] = _CHANNEL_CELLS[channel]
-            _write_time_cells(time_ns, rows[:, _TIME_START:_TIME_END])
-            rows[:, _TIME_END:] = _ORIGIN_CELLS[origin]
-            fh.write(rows.tobytes().translate(None, b"\0"))
+        fh.writelines(_csv_lines(*chunk) for chunk in records._chunks())

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -127,6 +128,41 @@ def test_result_echoes_config_and_seed():
     assert res.config is cfg
     assert res.seed == 77
     assert res.duration_s == 0.5
+
+
+# each engine, and a scan, whose points' seeds come from subseed, as a
+# callable of its seed that returns what the seed decides
+SEEDED = {
+    "conditional": lambda seed: counts(run_conditional_experiment(closure_config(), 0.05, seed)),
+    "klyshko": lambda seed: counts(run_klyshko_experiment(closure_config(), 0.05, seed)),
+    "scan_theta": lambda seed: scan_theta(closure_config(), (0.0, 90.0), 0.05, seed),
+}
+
+
+@pytest.mark.parametrize("run", SEEDED.values(), ids=SEEDED.keys())
+@pytest.mark.parametrize(
+    "seed, error",
+    [
+        (None, TypeError),  # used to draw from OS entropy
+        (1.5, TypeError),
+        ("3", TypeError),
+        (True, TypeError),  # used to run as seed 1
+        (np.bool_(False), TypeError),
+        (-1, ValueError),
+        (np.int64(-1), ValueError),
+    ],
+    ids=["None", "float", "str", "bool", "numpy-bool", "negative", "numpy-negative"],
+)
+def test_a_seed_that_is_not_an_integer_from_0_raises_naming_it(run, seed, error):
+    with pytest.raises(error, match=rf"^seed = {re.escape(repr(seed))} must be "):
+        run(seed)
+
+
+@pytest.mark.parametrize("run", SEEDED.values(), ids=SEEDED.keys())
+def test_a_numpy_integer_seed_decides_as_the_equal_int(run):
+    want = run(7)
+    for seed in (np.int64(7), np.uint32(7), np.uint64(7)):
+        assert run(seed) == want
 
 
 def test_coincidences_bounded_by_singles():
@@ -808,6 +844,27 @@ def test_tac_temporaries_do_not_grow_with_the_stream():
         starts = np.sort(rng.uniform(0.0, n * 2.27e3, n))  # 440 kHz, as at that run
         stops = np.sort(np.concatenate([starts[::2] + 9.3, rng.uniform(0.0, starts[-1], n // 3)]))
         assert traced_peak(tac_coincidences, starts, stops, 4.0, 9.3) < bound
+
+
+def test_event_csv_writer_peak_does_not_grow_with_the_records(tmp_path):
+    # it peaks while one chunk's digit columns and time cells are held, at
+    # 162.5 bytes per chunk row at 1, 2, 4 and 16 chunks; 191.5 while the
+    # time cells were written into strided slices of the rows
+    rng = np.random.default_rng(8)
+
+    def records(chunks):
+        n = chunks * simulate._ROWS_PER_CHUNK
+        return EventRecords(
+            rng.integers(0, len(simulate.CHANNELS), n, dtype=np.int8),
+            np.sort(rng.uniform(0.0, 4.0e9, n)),  # the times of a 4 s run
+            rng.integers(0, len(simulate.ORIGINS), n, dtype=np.int8),
+        )
+
+    path = tmp_path / "events.csv"
+    write_event_csv(records(1), path)
+    few, many = (traced_peak(write_event_csv, records(chunks), path) for chunks in (2, 16))
+    assert abs(many - few) < 0.01 * few
+    assert max(few, many) < 170 * simulate._ROWS_PER_CHUNK
 
 
 def test_klyshko_run_peaks_under_28_bytes_per_pair():
