@@ -276,6 +276,10 @@ def tac_coincidences(
     if not math.isfinite(stop_delay_ns):
         raise ValueError("tac_coincidences: stop_delay_ns must be finite")
     n, m = len(starts), len(stops)
+    # the merge's +inf sentinel lies above every window opening only while
+    # the openings are finite
+    if n and float(starts[-1]) + stop_delay_ns == math.inf:
+        raise ValueError("tac_coincidences: the last start time + stop_delay_ns overflows")
     if not m:
         return 0
     half = window_ns / 2.0
@@ -285,26 +289,41 @@ def tac_coincidences(
         # the slice and, after the first, the start before it
         lead = min(a, 1)
         sliced = starts[a - lead : a + _ROWS_PER_CHUNK]
+        k = len(sliced)
         hi = sliced + stop_delay_ns  # the window centre, until widened in place
         lo = hi - half
         hi += half
-        # first stop >= lo; across several slices, two scalar searches first
-        # bound it by the slice's first and last window opening
-        f0, f1 = 0, m
-        if len(sliced) < n:
-            f0, f1 = np.searchsorted(stops, lo[0]), np.searchsorted(stops, lo[-1])
-        first = np.searchsorted(stops[f0:f1], lo)
-        first += f0
-        # what each start counts when the converter is idle and no earlier
-        # stop is taken at or beyond ``first``
-        matched = (first < m) & (stops[np.minimum(first, m - 1)] <= hi)
-        count += int(np.count_nonzero(matched[lead:]))
         # After start i-1 the converter is busy until at most max(t, hi) of
         # i-1 and has taken no stop beyond hi of i-1, so start i is
         # independent of every earlier start unless it falls inside either bound.
         dependent = 1 + np.flatnonzero(
             (sliced[1:] < np.maximum(sliced[:-1], hi[:-1])) | (lo[1:] <= hi[:-1])
         )
+        # the stops from the first >= the slice's first window opening through
+        # the first >= its last (two scalar searches, across several slices),
+        # then +inf, which an opening above every stop meets
+        f0, f1 = 0, m
+        if k < n:
+            f0, f1 = np.searchsorted(stops, lo[0]), np.searchsorted(stops, lo[-1])
+        both = np.concatenate((lo, stops[f0 : f1 + 1], (math.inf,)))
+        # Each array is freed once read and ``hi`` is built again after the
+        # merge: the windows, the merge and its order are never held at
+        # once, which keeps a slice's peak, and so a theta run's, low.
+        del hi, lo
+        # One stable merge of the two sorted runs puts each opening before
+        # any stop equal to it, so opening i's place less i counts the
+        # stops below it; ``first`` indexes each start's first stop in ``both``.
+        first = np.flatnonzero(np.argsort(both, kind="stable") < k)
+        first -= np.arange(-k, 0)
+        stop = both[first]  # each start's first stop, or +inf
+        del both
+        hi = sliced + stop_delay_ns
+        hi += half
+        # what each start counts when the converter is idle and no earlier
+        # stop is taken at or beyond its first stop
+        matched = stop <= hi
+        del stop
+        count += int(np.count_nonzero(matched[lead:]))
         if not dependent.size:
             continue
         # replay each run of dependent starts from an idle converter, starting
@@ -318,7 +337,7 @@ def tac_coincidences(
             (replay + (a - lead)).tolist(),
             sliced[replay].tolist(),
             hi[replay].tolist(),
-            first[replay].tolist(),
+            (first[replay] + (f0 - k)).tolist(),
         ):
             if i != prev + 1:
                 busy_until, j = -math.inf, f
@@ -670,7 +689,13 @@ def scan_delay(
 
 def hv_counts(points) -> CountSummary:
     """The conditional estimator's counts: the 0-deg (H) and 90-deg (V) points of a theta scan."""
-    by_angle = {p.theta_deg: p for p in points}
+    by_angle = {}
+    for p in points:
+        if p.theta_deg in (0.0, 90.0) and p.theta_deg in by_angle:
+            raise CalibrationError(
+                f"hv_counts: the scan has more than one point at {p.theta_deg:g} deg"
+            )
+        by_angle[p.theta_deg] = p
     if not {0.0, 90.0} <= by_angle.keys():
         raise CalibrationError("hv_counts: the scan has no point at 0 deg or none at 90 deg")
     h, v = by_angle[0.0], by_angle[90.0]

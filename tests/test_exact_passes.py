@@ -222,6 +222,23 @@ def test_tac_matches_loops_in_slices_of_a_few_starts(rows, starts, stops, window
     assert got == tac_reference(starts.tolist(), stops.tolist(), window_ns, stop_delay_ns)
 
 
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_tac_merge_ties_and_window_ends_in_slices(rows):
+    # windows [t - 2, t + 2] on an integer grid: the stops on the openings
+    # of 0, 30 and 60 and on the closing of 10 match; 20's stop lies past
+    # its window and 21 arrives while 20 is busy, so 23 takes that stop; the
+    # first stop of 40 and 50 is 60's, past their windows, and 70 and 80
+    # have none (the merge's +inf).  A slice's last start has the last stop
+    # of the slice's merge range as its first stop: with 2 rows the tie at
+    # 28 for slice 21-23-30, with 7 rows 58 for slice 0..40
+    starts = np.array([0.0, 10.0, 20.0, 21.0, 23.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0])
+    stops = np.array([-2.0, 12.0, 23.0, 28.0, 58.0])
+    with mock.patch.object(simulate, "_ROWS_PER_CHUNK", rows):
+        got = tac_coincidences(starts, stops, 4.0, 0.0)
+    assert got == tac_loop_reference(starts.tolist(), stops.tolist(), 4.0, 0.0) == 5
+    assert got == tac_reference(starts.tolist(), stops.tolist(), 4.0, 0.0)
+
+
 def test_tac_matches_loop_on_dense_random_streams():
     rng = np.random.default_rng(11)
     # (starts, stops taken from starts[::step], further random stops): about

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import conditional_run_reference, tac_reference
+from conftest import conditional_run_reference, tac_loop_reference, tac_reference
 from biphoton import simulate
 from biphoton.bench import (
     MAX_DELAY_NS,
@@ -51,6 +51,9 @@ from biphoton.simulate import (
 
 
 CALIBRATION_CFG = Path(__file__).resolve().parents[1] / "demos" / "data" / "bench_calibration.cfg"
+KLYSHKO_HIGHRATE_CFG = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "klyshko_highrate.cfg"
+)
 
 
 def closure_config(eta1=0.45, eta2=0.40, q=1.0, **kwargs) -> BenchConfig:
@@ -427,6 +430,9 @@ def test_tac_rejects_unordered_streams_and_bad_window():
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="stop_delay_ns"):
             tac_coincidences(good, good, 4.0, value)
+    # a window opening beyond every float would meet the merge's +inf sentinel
+    with pytest.raises(ValueError, match="start time \\+ stop_delay_ns overflows"):
+        tac_coincidences(np.array([0.0, 1.7e308]), good, 4.0, 1.0e308)
     for not_1d in (good.reshape(1, 2), np.array(0.0)):
         with pytest.raises(ValueError, match="start stream must be 1-D"):
             tac_coincidences(not_1d, good, 4.0, 0.0)
@@ -485,6 +491,25 @@ def test_tac_matches_reference_implementation_on_random_streams():
             assert tac_coincidences(starts, stops, 8.0, delay) == tac_reference(
                 starts.tolist(), stops.tolist(), 8.0, delay
             )
+
+
+@pytest.mark.parametrize("dead_time_ns", [5.0, 0.0])
+def test_tac_replays_dependent_starts_of_a_klyshko_run_as_the_loop(dead_time_ns):
+    # with det1's dead time under the TAC's busy time (stop delay + window/2,
+    # 11.3 ns) some starts share a busy converter and are replayed: about
+    # 1250 and 2308 per second at 5 and 0 ns; 0.05 s give two slices
+    base = load_config(KLYSHKO_HIGHRATE_CFG)
+    cfg = replace(base, det1=replace(base.det1, dead_time_ns=dead_time_ns))
+    res = run_klyshko_experiment(cfg, 0.05, 4, keep_records=True)
+    starts = res.records.time_ns[res.records.channel == 0]
+    stops = res.records.time_ns[res.records.channel == 1] + cfg.tac.stop_delay_ns
+    d, half = cfg.tac.stop_delay_ns, cfg.tac.window_ns / 2.0
+    hi = starts + d + half
+    dependent = (starts[1:] < np.maximum(starts[:-1], hi[:-1])) | (starts[1:] + d - half <= hi[:-1])
+    assert np.count_nonzero(dependent) > 25
+    assert res.coincidences == tac_loop_reference(
+        starts.tolist(), stops.tolist(), cfg.tac.window_ns, d
+    )
 
 
 def test_tac_accidental_rate_formula():
@@ -631,6 +656,11 @@ def test_hv_counts_takes_the_0_and_90_degree_points_of_a_scan():
     assert hv_counts(points) == CountSummary(n_h=110.0, n_v=70.0, nc_h=1.0, nc_v=30.0)
     with pytest.raises(CalibrationError, match="no point at 0 deg or none at 90 deg"):
         hv_counts(points[:2])
+    # a repeated H or V point raises, naming its angle; other angles may repeat
+    assert hv_counts(points + [ThetaScanPoint(45.0, 60, 25)]) == hv_counts(points)
+    for angle in (0.0, -0.0, 90.0):
+        with pytest.raises(CalibrationError, match=f"more than one point at {angle:g} deg"):
+            hv_counts(points + [ThetaScanPoint(angle, 100, 2)])
 
 
 def test_klyshko_counts_are_the_run_rates_with_det1_dead_time_and_tac_delay():
