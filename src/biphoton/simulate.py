@@ -13,7 +13,10 @@ both experiment types:
 A run is a pure function of ``(config, duration, seed)``: identical inputs
 give bit-identical results.  One engine call is single-threaded; independent
 runs (different seeds or scan values) may execute concurrently and their
-counts merge by summation.
+counts merge by summation.  A scan makes one set of whole-length run buffers
+and hands it to each of its points in turn; no buffer is kept between calls,
+so concurrent scans and runs share nothing.  Pair times are drawn into such
+a buffer with the bits of ``Generator.uniform``.
 
 Per pair, outcome probabilities come from the exact conditional states of
 :mod:`biphoton.polarization` (no small-angle shortcuts).  A pulse that turns
@@ -49,9 +52,9 @@ ORIGINS = ("pair", "dark", "background")
 EXPERIMENTS = ("conditional", "klyshko")
 
 _NS_PER_S = 1.0e9
-# A run peaks at about 30 bytes per pair (conditional; Klyshko 24, 27 with
+# A run peaks at about 28 bytes per pair (conditional; Klyshko 24, 27 with
 # records; traced with tracemalloc at 1e6 pairs), so a run of this many
-# expected events peaks near 1.4 GiB.
+# expected events peaks near 1.3 GiB.
 MAX_EXPECTED_EVENTS = 5.0e7
 
 
@@ -358,18 +361,57 @@ def tac_coincidences(
 # internal stream machinery
 
 
-def _poisson_stream(rng: np.random.Generator, rate_hz: float, duration_s: float) -> np.ndarray:
+def _poisson_stream(
+    rng: np.random.Generator, rate_hz: float, duration_s: float, empty=np.empty
+) -> np.ndarray:
+    """Sorted times of a Poisson process over the run, drawn into the array ``empty(n)``.
+
+    ``random(out=t)`` scaled in place by D = duration_s * 1e9 gives the bits of
+    ``uniform(0.0, D, n)``, which numpy computes as ``0.0 + D * u``: adding
+    0.0 to D * u >= 0 is exact, and both draw n doubles.
+    """
     if not rate_hz > 0:
         return np.empty(0)
-    times = rng.uniform(0.0, duration_s * _NS_PER_S, rng.poisson(rate_hz * duration_s))
+    times = rng.random(out=empty(rng.poisson(rate_hz * duration_s)))
+    times *= duration_s * _NS_PER_S
     times.sort()
     return times
 
 
+class _RunBuffers:
+    """The whole-length arrays of conditional runs: pair times, the draw buffer
+    and the ``copol`` and ``hit`` masks, views of one block.
+
+    The block grows to the largest pair count served so far, with room for
+    the scatter of later counts, and a run works in ``[:n]`` views of the
+    arrays.  So a scan that hands one holder to all its points allocates
+    them about once, not once per point.  Nothing in it outlives the scan
+    or run that made it.
+    """
+
+    def __init__(self):
+        self.times = self.draws = np.empty(0)
+        self.copol = self.hit = np.empty(0, dtype=bool)
+
+    def pair_times(self, n: int) -> np.ndarray:
+        """The pair-time view of ``n`` entries, every array grown to ``n`` first."""
+        if n > len(self.times):
+            # freed before the larger block is made, so that a growing holder
+            # never holds both
+            del self.times, self.draws, self.copol, self.hit
+            # a scan's pair counts scatter by about sqrt(n) around one mean
+            size = n + 5 * math.isqrt(n)
+            block = np.empty(18 * size, dtype=np.uint8)
+            self.times, self.draws = block[: 16 * size].view(np.float64).reshape(2, size)
+            self.copol, self.hit = block[16 * size :].view(bool).reshape(2, size)
+        return self.times[:n]
+
+
 def _pair_stream(
-    cfg: BenchConfig, duration_s: float, seed: int
+    cfg: BenchConfig, duration_s: float, seed: int, empty=np.empty
 ) -> tuple[np.random.Generator, np.ndarray]:
-    """Seeded generator of one run and the sorted emission times of its pairs."""
+    """Seeded generator of one run and the sorted emission times of its pairs,
+    drawn into ``empty(n)``."""
     _check_seed(seed)
     if not 0.0 <= duration_s < math.inf:
         raise ValueError(f"duration_s must be finite and >= 0, got {duration_s!r}")
@@ -381,7 +423,7 @@ def _pair_stream(
             f"the run expects {expected:.3g} events, more than the limit of {MAX_EXPECTED_EVENTS:.3g}"
         )
     rng = np.random.default_rng(seed)
-    return rng, _poisson_stream(rng, cfg.pair_rate_hz, duration_s)
+    return rng, _poisson_stream(rng, cfg.pair_rate_hz, duration_s, empty)
 
 
 def _merge_streams(
@@ -392,15 +434,23 @@ def _merge_streams(
     A tag is one integer for the whole stream or an array with one per event.
     Tags are int8, the dtype of :attr:`EventRecords.origin`, unless a stream
     tags its events with an array (pair indices), which makes them all int64.
-    Events at equal times keep stream order.  The later streams (darks,
-    background) are sorted among themselves and inserted into the first (the
-    pair candidates) in one pass, which is cheap while they are few.
+    Events at equal times keep stream order.  Empty streams are dropped, and
+    a lone stream's times, and its tag array, are returned as they are, not
+    copied: :func:`_detect`'s selection copies them anyway.  The later streams
+    (darks, background) are sorted among themselves and inserted into the
+    first (the pair candidates) in one pass, which is cheap while they are few.
     """
-    times = [t for t, _ in streams]
     dtype = np.int64 if any(isinstance(tag, np.ndarray) for _, tag in streams) else np.int8
-    tags = [np.full(len(t), tag, dtype=dtype) for t, tag in streams]
-    if sum(1 for t in times if len(t)) <= 1:
-        return np.concatenate(times), np.concatenate(tags)  # already in order
+    streams = [(t, tag) for t, tag in streams if len(t)]
+    times = [t for t, _ in streams]
+    tags = [
+        tag.astype(dtype, copy=False)
+        if isinstance(tag, np.ndarray)
+        else np.full(len(t), tag, dtype=dtype)
+        for t, tag in streams
+    ]
+    if len(streams) <= 1:
+        return (times[0], tags[0]) if streams else (np.empty(0), np.empty(0, dtype))
     later_times, later_tags = np.concatenate(times[1:]), np.concatenate(tags[1:])
     order = np.argsort(later_times, kind="stable")
     later_times, later_tags = later_times[order], later_tags[order]
@@ -551,7 +601,7 @@ def _below_group_probability(
 
 
 def run_conditional_experiment(
-    cfg: BenchConfig, duration_s: float, seed: int, keep_records: bool = False
+    cfg: BenchConfig, duration_s: float, seed: int, keep_records: bool = False, *, _buffers=None
 ) -> SimResult:
     """Simulate the measurement-conditioned rotation experiment.
 
@@ -565,19 +615,29 @@ def run_conditional_experiment(
     the imperfection model and the analyzer, and is detected with eta2
     under dead time.  Coincidences are counted by the TAC with the known
     constant path offset compensated in the start line.
+
+    ``_buffers`` is internal: a scan hands all its runs one
+    :class:`_RunBuffers`, whose whole-length arrays each run works in; a run
+    without it makes its own.
     """
-    rng, t_pairs = _pair_stream(cfg, duration_s, seed)
+    buffers = _RunBuffers() if _buffers is None else _buffers
+    rng, t_pairs = _pair_stream(cfg, duration_s, seed, buffers.pair_times)
+    n_pairs = len(t_pairs)
 
     # used only as draws in [0, 1) < p, where a p outside [0, 1] acts as its clip
     p_pass, (p_perp, p_copol, p_turned) = _idler_detect_probabilities(cfg)
 
     # One buffer holds each per-pair draw in turn: random(out=u) gives the
     # bits of random(n) in the same generator order.
-    u = rng.random(len(t_pairs))
-    copol = u < p_pass
+    u = rng.random(out=buffers.draws[:n_pairs])
+    copol = np.less(u, p_pass, out=buffers.copol[:n_pairs])
 
     # trigger arm: each detection is tagged with its pair's index, -1 for a dark
-    hit = np.less(rng.random(out=u), cfg.trigger_projector.transmittance * cfg.det1.eta)
+    hit = np.less(
+        rng.random(out=u),
+        cfg.trigger_projector.transmittance * cfg.det1.eta,
+        out=buffers.hit[:n_pairs],
+    )
     hit &= copol
     cand1 = np.flatnonzero(hit)
     dark1 = _poisson_stream(rng, cfg.det1.dark_rate_hz, duration_s)
@@ -591,6 +651,11 @@ def run_conditional_experiment(
     cand2 = _below_group_probability(rng.random(out=u), copol, p_copol, p_perp, out=hit)
     pulsed = pair_det1[fired & (pair_det1 >= 0)]
     cand2[pulsed] = u[pulsed] < p_turned
+    trigger = (t_det1, (pair_det1 < 0).view(np.int8))  # a dark's origin is 1
+    # The trigger arm's int64 pair indices go before the idler arm's detector
+    # and the TAC run, which keeps a run's peak, and so the heap a scan's
+    # points leave above its buffers, low.
+    del cand1, pair_det1, pulsed
     idler_offset_ns = cfg.fiber_delay_ns + cfg.electronic_delay_ns
     dark2 = _poisson_stream(rng, cfg.det2.dark_rate_hz, duration_s)
     backgr = _poisson_stream(rng, cfg.background_rate_hz, duration_s)
@@ -600,7 +665,6 @@ def run_conditional_experiment(
         (dark2, 1),
         (backgr, 2),
     )
-    trigger = (t_det1, (pair_det1 < 0).view(np.int8))  # a dark's origin is 1
     starts = t_det1 + idler_offset_ns
     return _result(cfg, duration_s, seed, "conditional", trigger, analyzer, starts, keep_records)
 
@@ -644,12 +708,12 @@ def scan_theta(
     Output row order matches the input angle order; rows feed
     :func:`biphoton.calibrate.fit_theta_curve` directly.
     """
-    points = []
+    points, buffers = [], _RunBuffers()
     for i, angle in enumerate(angles_deg):
         cfg_i = replace(
             cfg, analyzer=Projector(float(angle), cfg.analyzer.transmittance)
         )
-        res = run_conditional_experiment(cfg_i, duration_s, subseed(seed, i))
+        res = run_conditional_experiment(cfg_i, duration_s, subseed(seed, i), _buffers=buffers)
         points.append(
             ThetaScanPoint(float(angle), res.singles_analyzer, res.coincidences)
         )
@@ -665,13 +729,14 @@ def scan_delay(
     90 deg), matching a physical polarizer that sits at one angle per run.
     """
     analyzers = [Projector(angle, cfg.analyzer.transmittance) for angle in (0.0, 90.0)]
-    points = []
+    points, buffers = [], _RunBuffers()
     for i, delay in enumerate(delays_ns):
         res_h, res_v = (
             run_conditional_experiment(
                 replace(cfg, electronic_delay_ns=float(delay), analyzer=analyzer),
                 duration_s,
                 subseed(seed, i, k),
+                _buffers=buffers,
             )
             for k, analyzer in enumerate(analyzers)
         )

@@ -8,7 +8,8 @@ driver-gate and TAC passes and its column event-CSV writer are checked
 against the plain event loops below, its stream merge against the stable
 sort it replaces, its memoized idler states against the unmemoized per-run
 construction they replace, and its conditional and Klyshko run bodies
-against run bodies built from these references.
+against run bodies built from these references, which draw their own event
+times as sorted ``Generator.uniform`` draws.
 """
 
 from __future__ import annotations
@@ -310,6 +311,14 @@ def idler_detect_probabilities_reference(cfg, states) -> np.ndarray:
     )
 
 
+def poisson_times_reference(rng, rate_hz: float, duration_s: float) -> np.ndarray:
+    """Sorted times in ns of a Poisson process over the run: a Poisson count n,
+    then ``np.sort(uniform(0.0, d * 1e9, n))``.  A zero rate draws nothing."""
+    if not rate_hz > 0:
+        return np.empty(0)
+    return np.sort(rng.uniform(0.0, duration_s * 1.0e9, rng.poisson(rate_hz * duration_s)))
+
+
 def conditional_run_reference(cfg, duration_s: float, seed: int):
     """The conditional run with its idler probability looked up per pair group.
 
@@ -317,20 +326,20 @@ def conditional_run_reference(cfg, duration_s: float, seed: int):
     scatters, and its idler probability is that group's.  Detection is
     :func:`detect_reference`, the driver gate is a
     :class:`StreamingDriverGate` and the coincidences come
-    from :func:`tac_loop_reference`; only the seeded streams are the
-    engine's, so the random draws come in the engine's order.  Returns
-    ``(singles_trigger, singles_analyzer, coincidences)`` and the records.
+    from :func:`tac_loop_reference`.  Pair, dark and background times come
+    from :func:`poisson_times_reference`, and every draw comes in the
+    engine's order.  Returns ``(singles_trigger, singles_analyzer,
+    coincidences)`` and the records.
     """
-    from biphoton.simulate import _pair_stream, _poisson_stream
-
-    rng, t_pairs = _pair_stream(cfg, duration_s, seed)
+    rng = np.random.default_rng(seed)
+    t_pairs = poisson_times_reference(rng, cfg.pair_rate_hz, duration_s)
     n_pairs = len(t_pairs)
     states, p_pass = idler_group_states_reference(cfg)
     p_detect2 = idler_detect_probabilities_reference(cfg, states)
 
     copol = rng.random(n_pairs) < p_pass
     cand1 = copol & (rng.random(n_pairs) < cfg.trigger_projector.transmittance * cfg.det1.eta)
-    dark1 = _poisson_stream(rng, cfg.det1.dark_rate_hz, duration_s)
+    dark1 = poisson_times_reference(rng, cfg.det1.dark_rate_hz, duration_s)
     t1, pair1 = detect_reference(
         cfg.det1.dead_time_ns, (t_pairs[cand1], np.flatnonzero(cand1)), (dark1, -1)
     )
@@ -344,8 +353,8 @@ def conditional_run_reference(cfg, duration_s: float, seed: int):
     group[pulsed] = 2
     cand2 = rng.random(n_pairs) < p_detect2[group]
     offset = cfg.fiber_delay_ns + cfg.electronic_delay_ns
-    dark2 = _poisson_stream(rng, cfg.det2.dark_rate_hz, duration_s)
-    backgr = _poisson_stream(rng, cfg.background_rate_hz, duration_s)
+    dark2 = poisson_times_reference(rng, cfg.det2.dark_rate_hz, duration_s)
+    backgr = poisson_times_reference(rng, cfg.background_rate_hz, duration_s)
     t2, origin2 = detect_reference(
         cfg.det2.dead_time_ns, (t_pairs[cand2] + offset, 0), (dark2, 1), (backgr, 2)
     )
@@ -355,19 +364,19 @@ def conditional_run_reference(cfg, duration_s: float, seed: int):
 def klyshko_run_reference(cfg, duration_s: float, seed: int):
     """The Klyshko run from the references: each arm's pair candidates selected
     by a boolean mask, detection by :func:`detect_reference` and coincidences
-    by :func:`tac_loop_reference`.  Only the seeded streams are the engine's,
-    so the random draws come in the engine's order.  Returns
-    ``(singles_trigger, singles_analyzer, coincidences)`` and the records.
+    by :func:`tac_loop_reference`.  Pair, dark and background times come
+    from :func:`poisson_times_reference`, and every draw comes in the
+    engine's order.  Returns ``(singles_trigger, singles_analyzer,
+    coincidences)`` and the records.
     """
-    from biphoton.simulate import _pair_stream, _poisson_stream
-
-    rng, t_pairs = _pair_stream(cfg, duration_s, seed)
+    rng = np.random.default_rng(seed)
+    t_pairs = poisson_times_reference(rng, cfg.pair_rate_hz, duration_s)
     n_pairs = len(t_pairs)
     cand1 = rng.random(n_pairs) < cfg.det1.eta
     cand2 = rng.random(n_pairs) < cfg.idler_path_loss * cfg.det2.eta
-    dark1 = _poisson_stream(rng, cfg.det1.dark_rate_hz, duration_s)
-    dark2 = _poisson_stream(rng, cfg.det2.dark_rate_hz, duration_s)
-    backgr = _poisson_stream(rng, cfg.background_rate_hz, duration_s)
+    dark1 = poisson_times_reference(rng, cfg.det1.dark_rate_hz, duration_s)
+    dark2 = poisson_times_reference(rng, cfg.det2.dark_rate_hz, duration_s)
+    backgr = poisson_times_reference(rng, cfg.background_rate_hz, duration_s)
     trigger = detect_reference(cfg.det1.dead_time_ns, (t_pairs[cand1], 0), (dark1, 1))
     analyzer = detect_reference(
         cfg.det2.dead_time_ns, (t_pairs[cand2], 0), (dark2, 1), (backgr, 2)

@@ -11,6 +11,8 @@ same way, and the conditional and Klyshko runs, records included, with run
 bodies built from the references.  The conditional run refills one draw
 buffer and picks each pair's idler comparison with boolean arithmetic; both
 are compared with the fresh draws and the float ``np.where`` they replace.
+Event times drawn into a given array, a scan's shared one included, are
+compared bit for bit with the sorted ``Generator.uniform`` draws they replace.
 """
 
 import math
@@ -533,6 +535,34 @@ def test_refilled_draw_buffer_gives_the_bits_of_fresh_draws(seed, n):
 # value; probabilities also below 0 and above 1
 GRID = [k / 8 for k in range(8)]
 PROBABILITIES = st.sampled_from(GRID + [-0.5, -0.0, 1.0, 1.5, math.nextafter(0.5, 1.0)])
+
+
+@settings(max_examples=100)
+@given(
+    st.floats(0.5, 1.0e6),
+    st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+    st.integers(0, 2**32),
+    st.sampled_from(["fresh", "holder", "grown holder"]),
+)
+@example(rate_hz=2.0e4, duration_s=0.0, seed=0, into="holder")
+@example(rate_hz=1.0e6, duration_s=0.05, seed=1, into="grown holder")
+def test_pair_times_drawn_into_an_array_are_the_bits_of_sorted_uniform_draws(
+    rate_hz, duration_s, seed, into
+):
+    # random(out=t), scaled in place, against numpy's 0.0 + D * u; into a
+    # fresh array, a holder's first block or a view of a larger one
+    buffers = simulate._RunBuffers()
+    if into == "grown holder":
+        buffers.pair_times(60_000)
+    empty = np.empty if into == "fresh" else buffers.pair_times
+    rng = np.random.default_rng(seed)
+    times = simulate._poisson_stream(rng, rate_hz, duration_s, empty)
+    ref = np.random.default_rng(seed)
+    expected = np.sort(ref.uniform(0.0, duration_s * 1.0e9, ref.poisson(rate_hz * duration_s)))
+    assert times.dtype == np.float64
+    assert np.array_equal(times.view(np.uint64), expected.view(np.uint64))
+    # the generator is left in the same state, so the run's later draws line up
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @settings(max_examples=300)

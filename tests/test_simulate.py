@@ -32,6 +32,7 @@ from biphoton.calibrate import (
 from biphoton.polarization import Projector
 from biphoton.scenario import load_config
 from biphoton.simulate import (
+    DelayScanPoint,
     EventRecords,
     RunTooLargeError,
     SimResult,
@@ -637,6 +638,55 @@ def test_scan_theta_rows_match_input_order_and_subseeds():
     assert points[2].coincidences == direct.coincidences
 
 
+def test_scan_rows_equal_fresh_runs_at_their_subseeds():
+    # a scan's runs share one set of buffers; each row must still be the run
+    # of its point alone
+    cfg = closure_config(analyzer=Projector(0.0, 0.9))
+    angles = [0.0, 45.0, 90.0, 135.0]
+    for i, (angle, point) in enumerate(zip(angles, scan_theta(cfg, angles, 0.3, 7))):
+        res = run_conditional_experiment(
+            replace(cfg, analyzer=Projector(angle, 0.9)), 0.3, subseed(7, i)
+        )
+        assert (point.singles, point.coincidences) == (res.singles_analyzer, res.coincidences)
+    delays = [0.0, 2000.0, 4000.0]
+    for i, (delay, row) in enumerate(zip(delays, scan_delay(cfg, delays, 0.3, 8))):
+        h, v = (
+            run_conditional_experiment(
+                replace(cfg, electronic_delay_ns=delay, analyzer=Projector(angle, 0.9)),
+                0.3,
+                subseed(8, i, k),
+            )
+            for k, angle in enumerate((0.0, 90.0))
+        )
+        assert row == DelayScanPoint(
+            delay, h.singles_analyzer, v.singles_analyzer, h.coincidences, v.coincidences
+        )
+
+
+def test_runs_sharing_buffers_equal_fresh_runs_and_keep_their_records():
+    # pair counts rise and fall, so the shared block both grows and serves
+    # smaller runs from views of it; no result may alias the block
+    cfg = closure_config(background_rate_hz=500.0)
+    buffers = simulate._RunBuffers()
+    runs, sizes = [], []
+    for rate_hz, duration_s, seed in [
+        (2.0e4, 0.2, 1), (2.0e4, 0.6, 2), (5.0e3, 0.2, 3),
+        (2.0e5, 0.1, 4), (2.0e4, 0.05, 5), (2.0e5, 0.15, 6),
+    ]:
+        run_cfg = replace(cfg, pair_rate_hz=rate_hz)
+        shared = run_conditional_experiment(
+            run_cfg, duration_s, seed, keep_records=True, _buffers=buffers
+        )
+        fresh = run_conditional_experiment(run_cfg, duration_s, seed, keep_records=True)
+        assert counts(shared) == counts(fresh)
+        assert shared.records == fresh.records
+        runs.append((shared, fresh))
+        sizes.append(len(buffers.times))
+    assert sizes[0] < sizes[1] == sizes[2] < sizes[3] == sizes[4] < sizes[5]
+    # the later runs left the earlier results as they were
+    assert all(shared.records == fresh.records for shared, fresh in runs)
+
+
 def test_conditional_counts_are_the_h_and_v_runs_on_their_subseeds():
     # an analyzer transmittance of 0.9 pins that both runs keep it
     cfg = closure_config(q=0.832, analyzer=Projector(30.0, 0.9))
@@ -922,3 +972,13 @@ def test_conditional_run_peaks_under_31_bytes_per_pair():
     cfg = replace(load_config(CALIBRATION_CFG), pair_rate_hz=1.0e6)
     run_conditional_experiment(cfg, 0.001, 1)
     assert traced_peak(run_conditional_experiment, cfg, 1.0, 3) < 31 * cfg.pair_rate_hz
+
+
+def test_theta_scan_peaks_under_31_bytes_per_pair_of_one_point():
+    # the points share one set of whole-length buffers, so a scan peaks as one
+    # of its runs does: 27.4-27.5 bytes per pair of a point on seeds 1-5, as
+    # a lone run; a scan that kept each point's arrays would pass 50
+    cfg = replace(load_config(CALIBRATION_CFG), pair_rate_hz=1.0e6)
+    scan_theta(cfg, (0.0,), 0.001, 1)
+    peak = traced_peak(scan_theta, cfg, (0.0, 45.0, 90.0), 1.0, 3)
+    assert peak < 31 * cfg.pair_rate_hz
