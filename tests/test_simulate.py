@@ -947,10 +947,11 @@ def test_event_csv_writer_peak_does_not_grow_with_the_records(tmp_path):
     assert max(few, many) < 170 * simulate._ROWS_PER_CHUNK
 
 
-def test_klyshko_run_peaks_under_28_bytes_per_pair():
+def test_klyshko_run_peaks_under_24_3_bytes_per_pair():
     # the klyshko_highrate bench: 8 bytes per pair hold its emission times and
-    # 8 more one uniform draw; the run peaked at 47.3 bytes per pair while the
-    # stream merge tagged every event with an int64 and the TAC was unsliced
+    # 8 more one uniform draw; it peaks at 23.72-23.84 bytes per pair on seeds
+    # 1-5, and peaked at 47.3 while the stream merge tagged every event with
+    # an int64 and the TAC was unsliced
     cfg = replace(
         BenchConfig(),
         pair_rate_hz=1.0e6,
@@ -961,24 +962,38 @@ def test_klyshko_run_peaks_under_28_bytes_per_pair():
         background_rate_hz=2000.0,
     )
     run_klyshko_experiment(cfg, 0.001, 1)
-    assert traced_peak(run_klyshko_experiment, cfg, 1.0, 3) < 28 * cfg.pair_rate_hz
+    assert traced_peak(run_klyshko_experiment, cfg, 1.0, 3) < 24.3 * cfg.pair_rate_hz
 
 
-def test_conditional_run_peaks_under_31_bytes_per_pair():
+def test_conditional_run_peaks_under_28_bytes_per_pair():
     # the calibration bench at 1e6 pairs/s: 8 bytes per pair hold its emission
-    # times and 8 the one buffer its three per-pair draws refill; it peaked at
-    # 30.1-30.2 bytes per pair on seeds 1-5, and at 31.9 while each draw and
-    # the idler probabilities had a float array of their own
+    # times and 8 the one buffer its three per-pair draws refill; it peaks at
+    # 27.37-27.47 bytes per pair on seeds 1-5 (the TAC's, after the trigger
+    # arm's pair indices are freed), and peaked at 30.1-30.2 while they were
+    # held through the idler arm
     cfg = replace(load_config(CALIBRATION_CFG), pair_rate_hz=1.0e6)
     run_conditional_experiment(cfg, 0.001, 1)
-    assert traced_peak(run_conditional_experiment, cfg, 1.0, 3) < 31 * cfg.pair_rate_hz
+    assert traced_peak(run_conditional_experiment, cfg, 1.0, 3) < 28 * cfg.pair_rate_hz
 
 
-def test_theta_scan_peaks_under_31_bytes_per_pair_of_one_point():
+def test_theta_point_run_peaks_under_34_bytes_per_pair():
+    # one point of the theta_calibration workload: the calibration bench at
+    # 90 deg for 5 s, 1e5 pairs.  A 1e6-pair run peaks before its TAC, so
+    # only a run of this size sees the TAC's slice: 33.27-33.62 bytes per
+    # expected pair on seeds 1-5, and 35.9-36.3 when the TAC holds its
+    # window bounds through the merge instead of freeing and rebuilding them
+    base = load_config(CALIBRATION_CFG)
+    cfg = replace(base, analyzer=Projector(90.0, base.analyzer.transmittance))
+    run_conditional_experiment(cfg, 0.001, 1)
+    peak = traced_peak(run_conditional_experiment, cfg, 5.0, 3)
+    assert peak < 34 * cfg.pair_rate_hz * 5.0
+
+
+def test_theta_scan_peaks_under_28_bytes_per_pair_of_one_point():
     # the points share one set of whole-length buffers, so a scan peaks as one
-    # of its runs does: 27.4-27.5 bytes per pair of a point on seeds 1-5, as
+    # of its runs does: 27.43-27.46 bytes per pair of a point on seeds 1-5, as
     # a lone run; a scan that kept each point's arrays would pass 50
     cfg = replace(load_config(CALIBRATION_CFG), pair_rate_hz=1.0e6)
     scan_theta(cfg, (0.0,), 0.001, 1)
     peak = traced_peak(scan_theta, cfg, (0.0, 45.0, 90.0), 1.0, 3)
-    assert peak < 31 * cfg.pair_rate_hz
+    assert peak < 28 * cfg.pair_rate_hz
