@@ -1,5 +1,6 @@
 """One check for every record field that declares its range in
-``field(metadata=_range(...))`` or its choices in ``field(metadata=_choices(...))``."""
+``field(metadata=_range(...))`` or its choices in ``field(metadata=_choices(...))``,
+and one for every seed: the engines', subseed's, the Monte Carlo's and the CLI's."""
 
 from __future__ import annotations
 
@@ -31,6 +32,15 @@ def _range(lo: float = -math.inf, hi: float = math.inf, *, lo_open=False, inf_ok
     elif lo > -math.inf:
         words.append(f"{'>' if lo_open else '>='} {lo:g}")
     return {"admits": (admit, " and ".join(words))}
+
+
+def _check_seed(value, name: str = "seed") -> None:
+    """TypeError unless seed ``name`` is a Python or numpy int, not a bool; ValueError if < 0."""
+    if type(value) is not int:  # first, as a plain int skips the slow ABC check
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} = {value!r} must be an integer")
+    if value < 0:
+        raise ValueError(f"{name} = {value!r} must be >= 0")
 
 
 def _choices(options: tuple) -> dict:

@@ -23,6 +23,7 @@ import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable
 
+from ._checked import _check_seed
 from .bench import BenchConfig, ConfigError, predict_coincidence_visibility, predict_singles_visibility
 from .calibrate import (
     CountSummary,
@@ -66,8 +67,7 @@ def _resolve_seed(seed: int | None) -> int:
             seed = int(env)
         except ValueError:
             raise ConfigError(f"BIPHOTON_SEED={env!r} is not an integer") from None
-    if seed < 0:
-        raise ConfigError(f"{where} = {seed} must be >= 0")
+    _check_seed(seed, where)
     return seed
 
 

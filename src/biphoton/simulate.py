@@ -35,13 +35,13 @@ only to dead time.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
+from ._checked import _check_seed
 from .bench import BenchConfig
 from .calibrate import CalibrationError, CountSummary, KlyshkoCounts
 from .polarization import Projector, apply_channel, conditional_state, depolarizer, make_state
@@ -184,17 +184,11 @@ class DelayScanPoint:
     coinc_v: int
 
 
-def _check_seed(seed) -> None:
-    """A run's or a scan's seed must be an integer >= 0: a Python or numpy int, not a bool."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise TypeError(f"seed = {seed!r} must be an integer")
-    if seed < 0:
-        raise ValueError(f"seed = {seed!r} must be >= 0")
-
-
 def subseed(seed: int, *path: int) -> int:
-    """Deterministic 64-bit child seed for scan point ``path``."""
+    """Deterministic 64-bit child seed for scan point ``path``; all are ints >= 0."""
     _check_seed(seed)
+    for i, element in enumerate(path):
+        _check_seed(element, f"path[{i}]")
     state = np.random.SeedSequence((seed, *path)).generate_state(2)
     return int(state[0]) << 32 | int(state[1])
 
@@ -283,8 +277,6 @@ def tac_coincidences(
     # the openings are finite
     if n and float(starts[-1]) + stop_delay_ns == math.inf:
         raise ValueError("tac_coincidences: the last start time + stop_delay_ns overflows")
-    if not m:
-        return 0
     half = window_ns / 2.0
     count = 0
     prev = -2  # the last start replayed
@@ -700,6 +692,14 @@ def run_klyshko_experiment(
 # scans
 
 
+def _conditional_runs(duration_s: float, runs):
+    """The conditional runs of ``(config, seed)`` pairs, made lazily in one :class:`_RunBuffers`."""
+    buffers = _RunBuffers()
+    for cfg, seed in runs:
+        # looked up by module name at each run: the benchmark's run tap wraps it
+        yield run_conditional_experiment(cfg, duration_s, seed, _buffers=buffers)
+
+
 def scan_theta(
     cfg: BenchConfig, angles_deg, duration_s: float, seed: int
 ) -> list[ThetaScanPoint]:
@@ -708,16 +708,12 @@ def scan_theta(
     Output row order matches the input angle order; rows feed
     :func:`biphoton.calibrate.fit_theta_curve` directly.
     """
-    points, buffers = [], _RunBuffers()
-    for i, angle in enumerate(angles_deg):
-        cfg_i = replace(
-            cfg, analyzer=Projector(float(angle), cfg.analyzer.transmittance)
-        )
-        res = run_conditional_experiment(cfg_i, duration_s, subseed(seed, i), _buffers=buffers)
-        points.append(
-            ThetaScanPoint(float(angle), res.singles_analyzer, res.coincidences)
-        )
-    return points
+    angles = [float(angle) for angle in angles_deg]
+    runs = _conditional_runs(duration_s, (
+        (replace(cfg, analyzer=Projector(a, cfg.analyzer.transmittance)), subseed(seed, i))
+        for i, a in enumerate(angles)
+    ))
+    return [ThetaScanPoint(a, r.singles_analyzer, r.coincidences) for a, r in zip(angles, runs)]
 
 
 def scan_delay(
@@ -729,27 +725,17 @@ def scan_delay(
     90 deg), matching a physical polarizer that sits at one angle per run.
     """
     analyzers = [Projector(angle, cfg.analyzer.transmittance) for angle in (0.0, 90.0)]
-    points, buffers = [], _RunBuffers()
-    for i, delay in enumerate(delays_ns):
-        res_h, res_v = (
-            run_conditional_experiment(
-                replace(cfg, electronic_delay_ns=float(delay), analyzer=analyzer),
-                duration_s,
-                subseed(seed, i, k),
-                _buffers=buffers,
-            )
-            for k, analyzer in enumerate(analyzers)
-        )
-        points.append(
-            DelayScanPoint(
-                float(delay),
-                res_h.singles_analyzer,
-                res_v.singles_analyzer,
-                res_h.coincidences,
-                res_v.coincidences,
-            )
-        )
-    return points
+    delays = [float(delay) for delay in delays_ns]
+    runs = _conditional_runs(duration_s, (
+        (replace(cfg, electronic_delay_ns=d, analyzer=a), subseed(seed, i, k))
+        for i, d in enumerate(delays)
+        for k, a in enumerate(analyzers)
+    ))
+    # each delay takes its H run, then its V run
+    return [
+        DelayScanPoint(d, h.singles_analyzer, v.singles_analyzer, h.coincidences, v.coincidences)
+        for d, h, v in zip(delays, runs, runs)
+    ]
 
 
 def hv_counts(points) -> CountSummary:

@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._checked import _admit, _Checked, _choices, _range
+from ._checked import _admit, _check_seed, _Checked, _choices, _range
 from .calibrate import (
     _NS_TO_S,
     CalibrationError,
@@ -264,8 +264,9 @@ def monte_carlo_uncertainty(
     inputs and so raise what it raises; the latter needs ``tau_ns``.
     Trials run in fixed-size blocks with per-block subseeds, so blocks can
     be evaluated in any order (or in parallel) without changing the result.
-    ``trials`` is an integer from MIN_MC_TRIALS to MAX_MC_TRIALS.
+    ``trials`` is an integer from MIN_MC_TRIALS to MAX_MC_TRIALS, ``seed`` one >= 0.
     """
+    _check_seed(seed)
     if not isinstance(trials, (int, np.integer)):
         raise TypeError(f"trials must be an integer, got {type(trials).__name__}")
     if not MIN_MC_TRIALS <= trials <= MAX_MC_TRIALS:

@@ -61,6 +61,8 @@ def test_pulse_amplitude_piecewise():
     assert p.amplitude(105.0 + 1750.0) == pytest.approx(0.5)
     assert p.amplitude(3605.0) == 0.0
     assert p.amplitude(1e6) == 0.0
+    with pytest.raises(ValueError, match="t_ns = nan"):  # used to return 0.0
+        p.amplitude(math.nan)
 
 
 def test_pulse_amplitude_piecewise_continuous():

@@ -215,6 +215,14 @@ def test_tac_matches_loops_for_any_stop_delay(starts, stops, window_ns, stop_del
 @pytest.mark.parametrize("rows", [1, 2, 3, 7])
 @settings(max_examples=200)
 @given(*TAC_STREAMS)
+# no stops, with runs of dependent starts (0.5 and 1.0 after 0.0, 10.5 after
+# 10.0) on every side of a slice edge: each slice takes the one pass
+@example(
+    starts=np.array([0.0, 0.5, 1.0, 10.0, 10.5, 20.0]), stops=EMPTY, window_ns=4.0, stop_delay_ns=0.0
+)
+@example(
+    starts=np.array([0.0, 0.5, 1.0, 10.0, 10.5, 20.0]), stops=EMPTY, window_ns=4.0, stop_delay_ns=-9.3
+)
 def test_tac_matches_loops_in_slices_of_a_few_starts(rows, starts, stops, window_ns, stop_delay_ns):
     # runs of dependent starts, and the start before each run, fall on every
     # side of a slice edge

@@ -49,6 +49,7 @@ from biphoton.simulate import (
     tac_coincidences,
     write_event_csv,
 )
+from biphoton.uncertainty import MIN_MC_TRIALS, UncertainInput, monte_carlo_uncertainty
 
 
 CALIBRATION_CFG = Path(__file__).resolve().parents[1] / "demos" / "data" / "bench_calibration.cfg"
@@ -134,35 +135,47 @@ def test_result_echoes_config_and_seed():
     assert res.duration_s == 0.5
 
 
-# each engine, and a scan, whose points' seeds come from subseed, as a
-# callable of its seed that returns what the seed decides
+# each engine, a scan, whose points' seeds come from subseed, subseed's seed
+# and path elements and the Monte Carlo: the name their errors give the seed,
+# and a callable of the seed that returns what it decides
 SEEDED = {
-    "conditional": lambda seed: counts(run_conditional_experiment(closure_config(), 0.05, seed)),
-    "klyshko": lambda seed: counts(run_klyshko_experiment(closure_config(), 0.05, seed)),
-    "scan_theta": lambda seed: scan_theta(closure_config(), (0.0, 90.0), 0.05, seed),
+    "conditional": (
+        "seed", lambda seed: counts(run_conditional_experiment(closure_config(), 0.05, seed))
+    ),
+    "klyshko": ("seed", lambda seed: counts(run_klyshko_experiment(closure_config(), 0.05, seed))),
+    "scan_theta": ("seed", lambda seed: scan_theta(closure_config(), (0.0, 90.0), 0.05, seed)),
+    "subseed": ("seed", lambda seed: subseed(seed, 3)),
+    "subseed-path": ("path[1]", lambda seed: subseed(0, 3, seed)),  # used to take "1" and True
+    "monte_carlo": (  # used to take "3", [1, 2] and True
+        "seed",
+        lambda seed: monte_carlo_uncertainty(
+            lambda x: x, [UncertainInput("x", 1.0, 0.1)], MIN_MC_TRIALS, seed=seed
+        ),
+    ),
 }
 
 
-@pytest.mark.parametrize("run", SEEDED.values(), ids=SEEDED.keys())
+@pytest.mark.parametrize("name, run", SEEDED.values(), ids=SEEDED.keys())
 @pytest.mark.parametrize(
     "seed, error",
     [
         (None, TypeError),  # used to draw from OS entropy
         (1.5, TypeError),
         ("3", TypeError),
+        ([1, 2], TypeError),
         (True, TypeError),  # used to run as seed 1
         (np.bool_(False), TypeError),
         (-1, ValueError),
         (np.int64(-1), ValueError),
     ],
-    ids=["None", "float", "str", "bool", "numpy-bool", "negative", "numpy-negative"],
+    ids=["None", "float", "str", "list", "bool", "numpy-bool", "negative", "numpy-negative"],
 )
-def test_a_seed_that_is_not_an_integer_from_0_raises_naming_it(run, seed, error):
-    with pytest.raises(error, match=rf"^seed = {re.escape(repr(seed))} must be "):
+def test_a_seed_that_is_not_an_integer_from_0_raises_naming_it(name, run, seed, error):
+    with pytest.raises(error, match=rf"^{re.escape(name)} = {re.escape(repr(seed))} must be "):
         run(seed)
 
 
-@pytest.mark.parametrize("run", SEEDED.values(), ids=SEEDED.keys())
+@pytest.mark.parametrize("run", [run for _, run in SEEDED.values()], ids=SEEDED.keys())
 def test_a_numpy_integer_seed_decides_as_the_equal_int(run):
     want = run(7)
     for seed in (np.int64(7), np.uint32(7), np.uint64(7)):
