@@ -676,6 +676,12 @@ def test_scan_rows_equal_fresh_runs_at_their_subseeds():
         )
 
 
+def test_scans_over_no_points_are_empty():
+    cfg = closure_config()
+    assert scan_theta(cfg, [], 1.0, 0) == []
+    assert scan_delay(cfg, [], 1.0, 0) == []
+
+
 def test_runs_sharing_buffers_equal_fresh_runs_and_keep_their_records():
     # pair counts rise and fall, so the shared block both grows and serves
     # smaller runs from views of it; no result may alias the block
