@@ -14,9 +14,11 @@ A run is a pure function of ``(config, duration, seed)``: identical inputs
 give bit-identical results.  One engine call is single-threaded; independent
 runs (different seeds or scan values) may execute concurrently and their
 counts merge by summation.  A scan makes one set of whole-length run buffers
-and hands it to each of its points in turn; no buffer is kept between calls,
-so concurrent scans and runs share nothing.  Pair times are drawn into such
-a buffer with the bits of ``Generator.uniform``.
+and hands it to each of its points in turn, with that point's row of idler
+detection probabilities, computed for all its points in one batch; no
+buffer or row is kept between calls, so concurrent scans and runs share
+nothing.  Pair times are drawn into such a buffer with the bits of
+``Generator.uniform``.
 
 Per pair, outcome probabilities come from the exact conditional states of
 :mod:`biphoton.polarization` (no small-angle shortcuts).  A pulse that turns
@@ -44,7 +46,9 @@ import numpy as np
 from ._checked import _check_seed
 from .bench import BenchConfig
 from .calibrate import CalibrationError, CountSummary, KlyshkoCounts
-from .polarization import Projector, apply_channel, conditional_state, depolarizer, make_state
+from .polarization import (
+    Projector, apply_channel, conditional_state, depolarizer, linear_ket, make_state,
+)
 
 CHANNELS = ("trigger", "analyzer")
 ORIGINS = ("pair", "dark", "background")
@@ -238,7 +242,7 @@ def driver_gate(times_ns, rate_threshold_hz: float, disable_duration_s: float) -
     # (t - 1 s, t] holds more than the threshold, i.e. at least back + 1
     # detections, exactly when the detection ``back`` places back is inside it
     back = n if rate_threshold_hz >= n else math.floor(rate_threshold_hz)
-    over = back + np.flatnonzero(t[: n - back] > t[back:] - _NS_PER_S)
+    over = back + (t[: n - back] > t[back:] - _NS_PER_S).nonzero()[0]
     disable_ns = disable_duration_s * _NS_PER_S
     fired = np.ones(n, dtype=bool)
     k = 0
@@ -291,9 +295,9 @@ def tac_coincidences(
         # After start i-1 the converter is busy until at most max(t, hi) of
         # i-1 and has taken no stop beyond hi of i-1, so start i is
         # independent of every earlier start unless it falls inside either bound.
-        dependent = 1 + np.flatnonzero(
+        dependent = 1 + (
             (sliced[1:] < np.maximum(sliced[:-1], hi[:-1])) | (lo[1:] <= hi[:-1])
-        )
+        ).nonzero()[0]
         # the stops from the first >= the slice's first window opening through
         # the first >= its last (two scalar searches, across several slices),
         # then +inf, which an opening above every stop meets
@@ -308,7 +312,7 @@ def tac_coincidences(
         # One stable merge of the two sorted runs puts each opening before
         # any stop equal to it, so opening i's place less i counts the
         # stops below it; ``first`` indexes each start's first stop in ``both``.
-        first = np.flatnonzero(np.argsort(both, kind="stable") < k)
+        first = (np.argsort(both, kind="stable") < k).nonzero()[0]
         first -= np.arange(-k, 0)
         stop = both[first]  # each start's first stop, or +inf
         del both
@@ -463,7 +467,7 @@ def _dead_time_filter(times: np.ndarray, dead_ns: float) -> np.ndarray:
     keep[1:] = ~close
     # events close to a close predecessor: replay each run of them from the
     # live event two places before its first one
-    chained = 2 + np.flatnonzero(close[1:] & close[:-1])
+    chained = 2 + (close[1:] & close[:-1]).nonzero()[0]
     if not chained.size:
         return keep
     prev = -2
@@ -540,41 +544,56 @@ def _result(
 
 @lru_cache(maxsize=1)
 def _idler_group_states(trigger: tuple, failure_model: str, q: float):
-    """(p_pass, perp, copol): the trigger-pass probability (transmittance excluded) and the
-    idler states behind a blocked and a passed trigger photon, depolarized under
-    uniform_depolarizer.  Keys that differ only as 0.0 and -0.0 share an entry: the
-    states then differ only in the sign of a zero entry, which no count sees."""
+    """(p_pass, perp, copol, groups): the trigger-pass probability (transmittance excluded),
+    the idler states behind a blocked and a passed trigger photon, depolarized under
+    uniform_depolarizer, and the read-only (3, 2, 2) stack of the matrices of the groups
+    perp, copol and pulsed (a pulsed idler is a copol one).  Keys that differ only as 0.0
+    and -0.0 share an entry: the states then differ only in the sign of a zero entry,
+    which no count sees."""
     source_kind, state_visibility, trigger_angle_deg = trigger
     joint = make_state(source_kind, state_visibility)
     p_pass, copol = conditional_state(joint, Projector(trigger_angle_deg))
     _, perp = conditional_state(joint, Projector(trigger_angle_deg + 90.0))
-    if failure_model != "uniform_depolarizer":
-        return p_pass, perp, copol
-    depol = depolarizer(q)
-    return p_pass, apply_channel(perp, depol), apply_channel(copol, depol)
+    if failure_model == "uniform_depolarizer":
+        depol = depolarizer(q)
+        perp, copol = apply_channel(perp, depol), apply_channel(copol, depol)
+    groups = np.stack((perp.matrix, copol.matrix, copol.matrix))
+    groups.setflags(write=False)
+    return p_pass, perp, copol, groups
 
 
-def _idler_detect_probabilities(cfg: BenchConfig) -> tuple[float, list[float]]:
-    """p_pass and the idler detection probabilities of the groups perp, copol and pulsed.
+def _idler_detect_probabilities(cfgs) -> list[tuple[float, list[float]]]:
+    """p_pass and the idler detection probabilities of the groups perp, copol and pulsed,
+    for each of the configs ``cfgs``.
 
     An idler turned by phi (the sampled pulse amplitude times rotation_angle_deg) passes
     exactly as the memo's state passes the analyzer turned by -phi: the depolarizer
-    commutes with the turn.  Under bernoulli_identity the turn succeeds with p_ok.
+    commutes with the turn.  Under bernoulli_identity the turn succeeds with p_ok.  The
+    projectors of each config's analyzer (for perp and copol) and turned analyzer are
+    formed from one array of kets and traced against the groups' states in one matmul,
+    which computes each 2x2 product as a lone ``@`` does.
     """
-    p = cfg.pockels
-    trigger = (cfg.source_kind, cfg.state_visibility, cfg.trigger_projector.angle_deg)
-    p_pass, perp, copol = _idler_group_states(trigger, p.failure_model, p.q)
-    phi = cfg.pulse_amplitude_at_idler() * p.rotation_angle_deg
-    analyzer, turned = cfg.analyzer.matrix(), Projector(cfg.analyzer.angle_deg - phi).matrix()
-    gain = cfg.idler_path_loss * cfg.analyzer.transmittance
-    p_perp, p_copol, p_turned = (
-        gain * (a @ s.matrix).trace().real * cfg.det2.eta
-        for a, s in ((analyzer, perp), (analyzer, copol), (turned, copol))
-    )
-    if p.failure_model != "uniform_depolarizer":
-        p_ok = p.success_probability
-        p_turned = p_ok * p_turned + (1.0 - p_ok) * p_copol
-    return p_pass, [p_perp, p_copol, p_turned]
+    p_pass, states, kets, gain, eta = [], [], [], [], []
+    for cfg in cfgs:
+        p = cfg.pockels
+        trigger = (cfg.source_kind, cfg.state_visibility, cfg.trigger_projector.angle_deg)
+        p_pass_i, _, _, groups = _idler_group_states(trigger, p.failure_model, p.q)
+        p_pass.append(p_pass_i)
+        states.append(groups)
+        phi = cfg.pulse_amplitude_at_idler() * p.rotation_angle_deg
+        analyzer = linear_ket(cfg.analyzer.angle_deg)
+        kets.append((analyzer, analyzer, linear_ket(cfg.analyzer.angle_deg - phi)))
+        gain.append(cfg.idler_path_loss * cfg.analyzer.transmittance)
+        eta.append(cfg.det2.eta)
+    kets = np.array(kets).reshape(-1, 3, 2)  # (0, 3, 2) for no configs
+    projectors = kets[..., :, None] * kets[..., None, :].conj()
+    traces = np.matmul(projectors, np.array(states).reshape(-1, 3, 2, 2)).trace(axis1=2, axis2=3)
+    rows = (np.array(gain)[:, None] * traces.real * np.array(eta)[:, None]).tolist()
+    for cfg, row in zip(cfgs, rows):
+        if cfg.pockels.failure_model != "uniform_depolarizer":
+            p_ok = cfg.pockels.success_probability
+            row[2] = p_ok * row[2] + (1.0 - p_ok) * row[1]
+    return list(zip(p_pass, rows))
 
 
 def _below_group_probability(
@@ -593,7 +612,8 @@ def _below_group_probability(
 
 
 def run_conditional_experiment(
-    cfg: BenchConfig, duration_s: float, seed: int, keep_records: bool = False, *, _buffers=None
+    cfg: BenchConfig, duration_s: float, seed: int, keep_records: bool = False, *,
+    _buffers=None, _idler=None,
 ) -> SimResult:
     """Simulate the measurement-conditioned rotation experiment.
 
@@ -608,16 +628,19 @@ def run_conditional_experiment(
     under dead time.  Coincidences are counted by the TAC with the known
     constant path offset compensated in the start line.
 
-    ``_buffers`` is internal: a scan hands all its runs one
-    :class:`_RunBuffers`, whose whole-length arrays each run works in; a run
-    without it makes its own.
+    ``_buffers`` and ``_idler`` are internal: a scan hands all its runs one
+    :class:`_RunBuffers`, whose whole-length arrays each run works in, and
+    each run its row of :func:`_idler_detect_probabilities` over the scan's
+    configs.  A run without them makes its own.
     """
     buffers = _RunBuffers() if _buffers is None else _buffers
     rng, t_pairs = _pair_stream(cfg, duration_s, seed, buffers.pair_times)
     n_pairs = len(t_pairs)
 
+    if _idler is None:
+        (_idler,) = _idler_detect_probabilities([cfg])
     # used only as draws in [0, 1) < p, where a p outside [0, 1] acts as its clip
-    p_pass, (p_perp, p_copol, p_turned) = _idler_detect_probabilities(cfg)
+    p_pass, (p_perp, p_copol, p_turned) = _idler
 
     # One buffer holds each per-pair draw in turn: random(out=u) gives the
     # bits of random(n) in the same generator order.
@@ -631,7 +654,7 @@ def run_conditional_experiment(
         out=buffers.hit[:n_pairs],
     )
     hit &= copol
-    cand1 = np.flatnonzero(hit)
+    cand1 = hit.nonzero()[0]
     dark1 = _poisson_stream(rng, cfg.det1.dark_rate_hz, duration_s)
     t_det1, pair_det1 = _detect(cfg.det1.dead_time_ns, (t_pairs[cand1], cand1), (dark1, -1))
     fired = driver_gate(
@@ -693,11 +716,14 @@ def run_klyshko_experiment(
 
 
 def _conditional_runs(duration_s: float, runs):
-    """The conditional runs of ``(config, seed)`` pairs, made lazily in one :class:`_RunBuffers`."""
+    """The conditional runs of ``(config, seed)`` pairs, made lazily in one :class:`_RunBuffers`,
+    with the idler probabilities of all their configs computed at once."""
+    runs = list(runs)
     buffers = _RunBuffers()
-    for cfg, seed in runs:
+    rows = _idler_detect_probabilities([cfg for cfg, _ in runs])
+    for (cfg, seed), row in zip(runs, rows):
         # looked up by module name at each run: the benchmark's run tap wraps it
-        yield run_conditional_experiment(cfg, duration_s, seed, _buffers=buffers)
+        yield run_conditional_experiment(cfg, duration_s, seed, _buffers=buffers, _idler=row)
 
 
 def scan_theta(

@@ -437,7 +437,7 @@ def test_memoized_idler_states_equal_the_reference(cfgs, order):
         reference = idler_detect_probabilities_reference(cfg, expected)
         for _ in range(2):
             hits = simulate._idler_group_states.cache_info().hits
-            p_pass, probabilities = simulate._idler_detect_probabilities(cfg)
+            ((p_pass, probabilities),) = simulate._idler_detect_probabilities([cfg])
             assert p_pass == p_expected
         assert simulate._idler_group_states.cache_info().hits == hits + 1
         # the memo's entry holds the states of groups 0 and 1 bit for bit
@@ -454,6 +454,26 @@ def test_memoized_idler_states_equal_the_reference(cfgs, order):
         assert counts(simulate.run_conditional_experiment(cfg, 0.002, 7)) == (
             conditional_run_reference(cfg, 0.002, 7)[0]
         )
+
+
+@settings(max_examples=150)
+@given(st.lists(idler_configs(), min_size=2, max_size=6))
+def test_a_batch_of_idler_probabilities_equals_its_rows_alone(cfgs):
+    # a scan's points share one trigger state; their analyzers, delays and
+    # Pockels cells may differ
+    shared = {k: getattr(cfgs[0], k) for k in ("source_kind", "state_visibility", "trigger_projector")}
+    cfgs = [replace(cfg, **shared) for cfg in cfgs]
+    rows = simulate._idler_detect_probabilities(cfgs)
+    assert len(rows) == len(cfgs)
+    for cfg, (p_pass, probabilities) in zip(cfgs, rows):
+        assert (p_pass, probabilities) == simulate._idler_detect_probabilities([cfg])[0]
+        expected, p_expected = idler_group_states_reference(cfg)
+        reference = idler_detect_probabilities_reference(cfg, expected)
+        assert p_pass == p_expected
+        assert np.array_equal(np.clip(probabilities[:2], 0.0, 1.0), reference[:2])
+        # the turned group within the bound of the memo test above
+        scale = cfg.idler_path_loss * cfg.analyzer.transmittance * cfg.det2.eta
+        assert abs(np.clip(probabilities[2], 0.0, 1.0) - reference[2]) <= 16 * math.ulp(scale)
 
 
 @st.composite

@@ -786,22 +786,29 @@ def counted_calls(monkeypatch, *names):
 
 
 def test_scans_build_each_idler_state_once(monkeypatch):
-    names = ("make_state", "depolarizer", "apply_channel", "replace")
+    names = ("make_state", "depolarizer", "apply_channel", "replace", "_idler_detect_probabilities")
     cfg = closure_config()
     calls = counted_calls(monkeypatch, *names)
     scan_theta(cfg, np.arange(0.0, 181.0, 10.0), 0.01, 1)
-    assert calls == {"make_state": 1, "depolarizer": 1, "apply_channel": 2, "replace": 19}
+    assert calls == {
+        "make_state": 1, "depolarizer": 1, "apply_channel": 2, "replace": 19,
+        "_idler_detect_probabilities": 1,
+    }
     # No rotation angle enters a state: the pulse turns the analyzer, so the
     # depolarized perp and copol states are built once for the whole scan,
     # whatever the delays.  Each run's config is built in one step, from
-    # analyzers built once.
+    # analyzers built once, and the idler probabilities of all the scan's
+    # runs in one call.
     calls = counted_calls(monkeypatch, *names)
     scan_delay(cfg, [0.0, 2000.0, 3700.0, 4000.0], 0.01, 1)
-    assert calls == {"make_state": 1, "depolarizer": 1, "apply_channel": 2, "replace": 8}
+    assert calls == {
+        "make_state": 1, "depolarizer": 1, "apply_channel": 2, "replace": 8,
+        "_idler_detect_probabilities": 1,
+    }
     bernoulli = replace(cfg, pockels=PockelsParams(q=0.3, failure_model="bernoulli_identity"))
     calls = counted_calls(monkeypatch, *names)
     scan_delay(bernoulli, [0.0, 2000.0, 3700.0, 4000.0], 0.01, 1)
-    assert calls == {"make_state": 1, "replace": 8}
+    assert calls == {"make_state": 1, "replace": 8, "_idler_detect_probabilities": 1}
 
 
 def test_zero_rate_stream_is_empty_and_draws_nothing():
