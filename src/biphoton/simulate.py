@@ -422,31 +422,22 @@ def _pair_stream(
     return rng, _poisson_stream(rng, cfg.pair_rate_hz, duration_s, empty)
 
 
-def _merge_streams(
-    *streams: tuple[np.ndarray, int | np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
+def _merge_streams(*streams: tuple[np.ndarray, int]) -> tuple[np.ndarray, np.ndarray]:
     """Merge time-ordered (times, tag) streams into one time-ordered (times, tags) pair.
 
-    A tag is one integer for the whole stream or an array with one per event.
-    Tags are int8, the dtype of :attr:`EventRecords.origin`, unless a stream
-    tags its events with an array (pair indices), which makes them all int64.
-    Events at equal times keep stream order.  Empty streams are dropped, and
-    a lone stream's times, and its tag array, are returned as they are, not
-    copied: :func:`_detect`'s selection copies them anyway.  The later streams
-    (darks, background) are sorted among themselves and inserted into the
-    first (the pair candidates) in one pass, which is cheap while they are few.
+    A tag is one integer for the whole stream, and tags are int8, the dtype
+    of :attr:`EventRecords.origin`.  Events at equal times keep stream order.
+    Empty streams are dropped, and a lone stream's times are returned as
+    they are, not copied: the dead-time selection copies them anyway.  The
+    later streams (darks, background) are sorted among themselves and
+    inserted into the first (the pair candidates) in one pass, which is
+    cheap while they are few.
     """
-    dtype = np.int64 if any(isinstance(tag, np.ndarray) for _, tag in streams) else np.int8
     streams = [(t, tag) for t, tag in streams if len(t)]
     times = [t for t, _ in streams]
-    tags = [
-        tag.astype(dtype, copy=False)
-        if isinstance(tag, np.ndarray)
-        else np.full(len(t), tag, dtype=dtype)
-        for t, tag in streams
-    ]
+    tags = [np.full(len(t), tag, dtype=np.int8) for t, tag in streams]
     if len(streams) <= 1:
-        return (times[0], tags[0]) if streams else (np.empty(0), np.empty(0, dtype))
+        return (times[0], tags[0]) if streams else (np.empty(0), np.empty(0, np.int8))
     later_times, later_tags = np.concatenate(times[1:]), np.concatenate(tags[1:])
     order = np.argsort(later_times, kind="stable")
     later_times, later_tags = later_times[order], later_tags[order]
@@ -483,9 +474,7 @@ def _dead_time_filter(times: np.ndarray, dead_ns: float) -> np.ndarray:
     return keep
 
 
-def _detect(
-    dead_ns: float, *streams: tuple[np.ndarray, int | np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
+def _detect(dead_ns: float, *streams: tuple[np.ndarray, int]) -> tuple[np.ndarray, np.ndarray]:
     """One detector: its candidate (times, tag) streams merged, then dead time.
 
     Returns the detected times and their tags.
@@ -544,10 +533,10 @@ def _result(
 
 @lru_cache(maxsize=1)
 def _idler_group_states(trigger: tuple, failure_model: str, q: float):
-    """(p_pass, perp, copol, groups): the trigger-pass probability (transmittance excluded),
-    the idler states behind a blocked and a passed trigger photon, depolarized under
-    uniform_depolarizer, and the read-only (3, 2, 2) stack of the matrices of the groups
-    perp, copol and pulsed (a pulsed idler is a copol one).  Keys that differ only as 0.0
+    """(p_pass, groups): the trigger-pass probability (transmittance excluded) and the
+    read-only (3, 2, 2) stack of the matrices of the groups perp, copol and pulsed: the
+    idler states behind a blocked and a passed trigger photon, depolarized under
+    uniform_depolarizer (a pulsed idler is a copol one).  Keys that differ only as 0.0
     and -0.0 share an entry: the states then differ only in the sign of a zero entry,
     which no count sees."""
     source_kind, state_visibility, trigger_angle_deg = trigger
@@ -559,7 +548,7 @@ def _idler_group_states(trigger: tuple, failure_model: str, q: float):
         perp, copol = apply_channel(perp, depol), apply_channel(copol, depol)
     groups = np.stack((perp.matrix, copol.matrix, copol.matrix))
     groups.setflags(write=False)
-    return p_pass, perp, copol, groups
+    return p_pass, groups
 
 
 def _idler_detect_probabilities(cfgs) -> list[tuple[float, list[float]]]:
@@ -577,7 +566,7 @@ def _idler_detect_probabilities(cfgs) -> list[tuple[float, list[float]]]:
     for cfg in cfgs:
         p = cfg.pockels
         trigger = (cfg.source_kind, cfg.state_visibility, cfg.trigger_projector.angle_deg)
-        p_pass_i, _, _, groups = _idler_group_states(trigger, p.failure_model, p.q)
+        p_pass_i, groups = _idler_group_states(trigger, p.failure_model, p.q)
         p_pass.append(p_pass_i)
         states.append(groups)
         phi = cfg.pulse_amplitude_at_idler() * p.rotation_angle_deg
@@ -647,7 +636,9 @@ def run_conditional_experiment(
     u = rng.random(out=buffers.draws[:n_pairs])
     copol = np.less(u, p_pass, out=buffers.copol[:n_pairs])
 
-    # trigger arm: each detection is tagged with its pair's index, -1 for a dark
+    # trigger arm: its pair candidates (origin 0) and darks (1) merged, then
+    # dead time, as in _detect; `detected` marks the candidates that survive,
+    # in cand1 order, since the merge keeps the first stream's order
     hit = np.less(
         rng.random(out=u),
         cfg.trigger_projector.transmittance * cfg.det1.eta,
@@ -656,21 +647,22 @@ def run_conditional_experiment(
     hit &= copol
     cand1 = hit.nonzero()[0]
     dark1 = _poisson_stream(rng, cfg.det1.dark_rate_hz, duration_s)
-    t_det1, pair_det1 = _detect(cfg.det1.dead_time_ns, (t_pairs[cand1], cand1), (dark1, -1))
-    fired = driver_gate(
-        t_det1, cfg.driver.rate_threshold_hz, cfg.driver.disable_duration_s
-    )
+    times, tags = _merge_streams((t_pairs[cand1], 0), (dark1, 1))
+    keep = _dead_time_filter(times, cfg.det1.dead_time_ns)
+    trigger = (times[keep], tags[keep])
+    detected = keep[tags == 0]
+    del times, tags, keep
+    fired = driver_gate(trigger[0], cfg.driver.rate_threshold_hz, cfg.driver.disable_duration_s)
 
     # idler arm: each pair's draw is compared with its group's probability;
     # pulsed pairs are copolarized ones, so their comparison goes on last
     cand2 = _below_group_probability(rng.random(out=u), copol, p_copol, p_perp, out=hit)
-    pulsed = pair_det1[fired & (pair_det1 >= 0)]
+    pulsed = cand1[detected][fired[trigger[1] == 0]]
     cand2[pulsed] = u[pulsed] < p_turned
-    trigger = (t_det1, (pair_det1 < 0).view(np.int8))  # a dark's origin is 1
-    # The trigger arm's int64 pair indices go before the idler arm's detector
-    # and the TAC run, which keeps a run's peak, and so the heap a scan's
-    # points leave above its buffers, low.
-    del cand1, pair_det1, pulsed
+    # The pair indices go before the idler arm's detector and the TAC run,
+    # which keeps a run's peak, and so the heap a scan's points leave above
+    # its buffers, low.
+    del cand1, detected, fired, pulsed
     idler_offset_ns = cfg.fiber_delay_ns + cfg.electronic_delay_ns
     dark2 = _poisson_stream(rng, cfg.det2.dark_rate_hz, duration_s)
     backgr = _poisson_stream(rng, cfg.background_rate_hz, duration_s)
@@ -680,7 +672,7 @@ def run_conditional_experiment(
         (dark2, 1),
         (backgr, 2),
     )
-    starts = t_det1 + idler_offset_ns
+    starts = trigger[0] + idler_offset_ns
     return _result(cfg, duration_s, seed, "conditional", trigger, analyzer, starts, keep_records)
 
 

@@ -110,15 +110,9 @@ def test_dead_time_matches_loop_on_chains_of_every_length(stream):
 
 @st.composite
 def tagged_streams(draw):
-    """One to four grid-time streams, often empty, each tagged by one integer or
-    by an array of one integer per event (-1 included)."""
-    streams = []
-    for _ in range(draw(st.integers(1, 4))):
-        times = draw(grid_times(30, 20, 0.5))
-        per_event = st.lists(st.integers(-1, 10**6), min_size=len(times), max_size=len(times))
-        tag = draw(st.one_of(st.integers(-1, 3), per_event.map(np.array)))
-        streams.append((times, tag))
-    return streams
+    """One to four grid-time streams, often empty, each tagged by one integer."""
+    n = draw(st.integers(1, 4))
+    return [(draw(grid_times(30, 20, 0.5)), draw(st.integers(0, 3))) for _ in range(n)]
 
 
 EMPTY = np.array([])
@@ -131,7 +125,6 @@ LARGE = [np.sort(_rng.integers(0, 200, n)).astype(float) for n in (3000, 50, 200
 @given(tagged_streams())
 @example(streams=[(EMPTY, 0)])
 @example(streams=[(EMPTY, 0), (EMPTY, 1), (EMPTY, 2)])
-@example(streams=[(np.array([1.0, 1.0, 2.0]), np.array([-1, 7, -1]))])
 @example(streams=[(EMPTY, 0), (np.array([1.0, 2.0]), 1), (np.array([0.5, 2.0]), 2)])
 @example(streams=[(np.array([1.0, 2.0]), 0), (EMPTY, 1), (np.array([2.0, 2.0]), 2)])
 @example(streams=[(np.array([1.0, 2.0]), 0), (np.array([2.0, 3.0]), 1), (EMPTY, 2)])
@@ -139,18 +132,16 @@ LARGE = [np.sort(_rng.integers(0, 200, n)).astype(float) for n in (3000, 50, 200
 # and after every pair.  An empty first stream takes the insertion path only
 # with events in two later streams, here one each.
 @example(streams=[(np.array([1.0, 2.0, 2.0, 3.0]), 0), (np.array([2.0]), 1)])
-@example(streams=[(np.array([1.0, 2.0]), np.array([4, 9])), (np.array([0.5]), -1)])
 @example(streams=[(np.array([1.0, 2.0]), 0), (EMPTY, 1), (np.array([2.5]), 2)])
 @example(streams=[(EMPTY, 0), (np.array([1.0]), 1), (np.array([0.5]), 2)])
-@example(streams=[(LARGE[0], np.arange(3000)), (LARGE[1], -1)])
+@example(streams=[(LARGE[0], 0), (LARGE[1], 1)])
 @example(streams=[(LARGE[1], 0), (LARGE[0], 1), (LARGE[2], 2)])
 @example(streams=[(LARGE[2], 0), (EMPTY, 1), (LARGE[0], 2)])
 def test_merge_matches_the_stable_sort(streams):
     times, tags = _merge_streams(*streams)
     expected_times, expected_tags = merge_streams_reference(*streams)
-    # origin tags are one byte, as EventRecords stores them; pair indices need int64
-    pair_indices = any(isinstance(tag, np.ndarray) for _, tag in streams)
-    assert times.dtype == np.float64 and tags.dtype == (np.int64 if pair_indices else np.int8)
+    # origin tags are one byte, as EventRecords stores them
+    assert times.dtype == np.float64 and tags.dtype == np.int8
     assert np.array_equal(times, expected_times)
     assert np.array_equal(tags, expected_tags)
 
@@ -442,8 +433,8 @@ def test_memoized_idler_states_equal_the_reference(cfgs, order):
         assert simulate._idler_group_states.cache_info().hits == hits + 1
         # the memo's entry holds the states of groups 0 and 1 bit for bit
         trigger = (cfg.source_kind, cfg.state_visibility, cfg.trigger_projector.angle_deg)
-        _, *states = simulate._idler_group_states(trigger, cfg.pockels.failure_model, cfg.pockels.q)
-        assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(states, expected[:2]))
+        _, groups = simulate._idler_group_states(trigger, cfg.pockels.failure_model, cfg.pockels.q)
+        assert all(np.array_equal(a, b.matrix) for a, b in zip(groups[:2], expected[:2]))
         assert np.array_equal(np.clip(probabilities[:2], 0.0, 1.0), reference[:2])
         # no rotated state is left to compare, so group 2 is compared as a
         # probability: the analyzer turned by -phi sums its products in another
@@ -524,9 +515,26 @@ def turned_analyzer_config(failure_model):
 @example(cfg=turned_analyzer_config("bernoulli_identity"), seed=1)
 @example(cfg=BenchConfig(pair_rate_hz=3.0e6, driver=DriverPolicy(disable_duration_s=0.004)), seed=1)
 @example(
-    # fired dark trigger clicks, whose pair index -1 must not pulse the last pair
+    # fired dark trigger clicks, which must pulse no pair
     cfg=BenchConfig(pair_rate_hz=2.0e4, det1=DetectorParams(eta=0.45, dead_time_ns=40.0, dark_rate_hz=2.0e4)),
     seed=2,
+)
+@example(
+    # pairs but no trigger candidates, so the trigger arm holds darks only and
+    # no candidate is detected
+    cfg=BenchConfig(pair_rate_hz=2.0e5, det1=DetectorParams(eta=0.0, dead_time_ns=40.0, dark_rate_hz=2.0e4)),
+    seed=4,
+)
+@example(
+    # darks dense enough against the dead time to often take a candidate's
+    # place, so some candidates are not detected; an unlimited driver fires on
+    # every detection, so the detected candidates pulse their pairs
+    cfg=BenchConfig(
+        pair_rate_hz=2.0e5,
+        det1=DetectorParams(eta=0.45, dead_time_ns=40.0, dark_rate_hz=2.0e6),
+        driver=DriverPolicy(rate_threshold_hz=math.inf),
+    ),
+    seed=5,
 )
 @example(
     # no pairs, so an empty draw buffer, next to dark and background streams on both arms

@@ -991,21 +991,21 @@ def test_klyshko_run_peaks_under_24_3_bytes_per_pair():
     assert traced_peak(run_klyshko_experiment, cfg, 1.0, 3) < 24.3 * cfg.pair_rate_hz
 
 
-def test_conditional_run_peaks_under_28_bytes_per_pair():
+def test_conditional_run_peaks_under_26_5_bytes_per_pair():
     # the calibration bench at 1e6 pairs/s: 8 bytes per pair hold its emission
     # times and 8 the one buffer its three per-pair draws refill; it peaks at
-    # 27.37-27.47 bytes per pair on seeds 1-5 (the TAC's, after the trigger
-    # arm's pair indices are freed), and peaked at 30.1-30.2 while they were
-    # held through the idler arm
+    # 26.05-26.15 bytes per pair on seeds 1-5, at 27.37-27.47 when the trigger
+    # arm tags its pair candidates with int64 pair indices, and at 30.1-30.2
+    # when it holds them through the idler arm
     cfg = replace(load_config(CALIBRATION_CFG), pair_rate_hz=1.0e6)
     run_conditional_experiment(cfg, 0.001, 1)
-    assert traced_peak(run_conditional_experiment, cfg, 1.0, 3) < 28 * cfg.pair_rate_hz
+    assert traced_peak(run_conditional_experiment, cfg, 1.0, 3) < 26.5 * cfg.pair_rate_hz
 
 
 def test_theta_point_run_peaks_under_34_bytes_per_pair():
     # one point of the theta_calibration workload: the calibration bench at
     # 90 deg for 5 s, 1e5 pairs.  A 1e6-pair run peaks before its TAC, so
-    # only a run of this size sees the TAC's slice: 33.27-33.62 bytes per
+    # only a run of this size sees the TAC's slice: 33.04-33.38 bytes per
     # expected pair on seeds 1-5, and 35.9-36.3 when the TAC holds its
     # window bounds through the merge instead of freeing and rebuilding them
     base = load_config(CALIBRATION_CFG)
@@ -1015,11 +1015,11 @@ def test_theta_point_run_peaks_under_34_bytes_per_pair():
     assert peak < 34 * cfg.pair_rate_hz * 5.0
 
 
-def test_theta_scan_peaks_under_28_bytes_per_pair_of_one_point():
+def test_theta_scan_peaks_under_26_6_bytes_per_pair_of_one_point():
     # the points share one set of whole-length buffers, so a scan peaks as one
-    # of its runs does: 27.43-27.46 bytes per pair of a point on seeds 1-5, as
+    # of its runs does: 26.18-26.22 bytes per pair of a point on seeds 1-5, as
     # a lone run; a scan that kept each point's arrays would pass 50
     cfg = replace(load_config(CALIBRATION_CFG), pair_rate_hz=1.0e6)
     scan_theta(cfg, (0.0,), 0.001, 1)
     peak = traced_peak(scan_theta, cfg, (0.0, 45.0, 90.0), 1.0, 3)
-    assert peak < 28 * cfg.pair_rate_hz
+    assert peak < 26.6 * cfg.pair_rate_hz
