@@ -17,6 +17,7 @@ regardless of locale.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -315,7 +316,9 @@ def _reference_inputs() -> list[UncertainInput]:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every :func:`main` call."""
     parser = argparse.ArgumentParser(
         prog="biphoton",
         description="Heralded polarization-rotation bench: simulation and calibration.",
@@ -363,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # each call parses into a fresh namespace, and each command resolves its seed
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -45,10 +45,15 @@ class ImpossibleOutcomeError(ValueError):
     """Raised when conditioning on a measurement outcome of zero probability."""
 
 
+def _jones(angle_deg: float) -> tuple[float, float]:
+    """The (real) entries of :func:`linear_ket`, for callers that build many kets at once."""
+    t = math.radians(angle_deg)
+    return math.cos(t), math.sin(t)
+
+
 def linear_ket(angle_deg: float) -> np.ndarray:
     """Jones vector of linear polarization at ``angle_deg`` from horizontal."""
-    t = math.radians(angle_deg)
-    return np.array([math.cos(t), math.sin(t)], dtype=complex)
+    return np.array(_jones(angle_deg), dtype=complex)
 
 
 def _immutable(matrix) -> np.ndarray:

@@ -47,7 +47,7 @@ from ._checked import _check_seed
 from .bench import BenchConfig
 from .calibrate import CalibrationError, CountSummary, KlyshkoCounts
 from .polarization import (
-    Projector, apply_channel, conditional_state, depolarizer, linear_ket, make_state,
+    Projector, _jones, apply_channel, conditional_state, depolarizer, make_state,
 )
 
 CHANNELS = ("trigger", "analyzer")
@@ -56,9 +56,11 @@ ORIGINS = ("pair", "dark", "background")
 EXPERIMENTS = ("conditional", "klyshko")
 
 _NS_PER_S = 1.0e9
-# A run peaks at about 28 bytes per pair (conditional; Klyshko 24, 27 with
-# records; traced with tracemalloc at 1e6 pairs), so a run of this many
-# expected events peaks near 1.3 GiB.
+_INF = np.array([math.inf])  # the TAC merge's closing stop
+# Traced with tracemalloc at 1e6 pairs, a conditional run peaks at 26.05-26.15
+# bytes per pair (pinned at 26.5), 29.0-29.1 with records, and a Klyshko run
+# is pinned at 24.3, so a run of this many expected events peaks near
+# 1.2 GiB, or 1.4 GiB with records.
 MAX_EXPECTED_EVENTS = 5.0e7
 
 
@@ -201,7 +203,8 @@ def _ordered(times: np.ndarray) -> bool:
     """Whether ``times`` never steps back (False next to a NaN), compared a slice
     at a time, so that the mask is the size of a slice, not of the stream."""
     if len(times) <= _ROWS_PER_CHUNK + 1:
-        return bool((times[1:] >= times[:-1]).all())
+        steps = times[1:] >= times[:-1]
+        return np.count_nonzero(steps) == len(steps)  # a third of steps.all()'s cost
     # slices that overlap by one event
     return all(
         _ordered(times[a : a + _ROWS_PER_CHUNK + 1])
@@ -294,17 +297,17 @@ def tac_coincidences(
         hi += half
         # After start i-1 the converter is busy until at most max(t, hi) of
         # i-1 and has taken no stop beyond hi of i-1, so start i is
-        # independent of every earlier start unless it falls inside either bound.
-        dependent = 1 + (
-            (sliced[1:] < np.maximum(sliced[:-1], hi[:-1])) | (lo[1:] <= hi[:-1])
-        ).nonzero()[0]
+        # independent of every earlier start unless it falls inside either
+        # bound.  Start i is never below t of i-1 (the stream is ordered), so
+        # only hi of i-1 is compared.
+        dependent = 1 + ((sliced[1:] < hi[:-1]) | (lo[1:] <= hi[:-1])).nonzero()[0]
         # the stops from the first >= the slice's first window opening through
         # the first >= its last (two scalar searches, across several slices),
         # then +inf, which an opening above every stop meets
         f0, f1 = 0, m
         if k < n:
             f0, f1 = np.searchsorted(stops, lo[0]), np.searchsorted(stops, lo[-1])
-        both = np.concatenate((lo, stops[f0 : f1 + 1], (math.inf,)))
+        both = np.concatenate((lo, stops[f0 : f1 + 1], _INF))
         # Each array is freed once read and ``hi`` is built again after the
         # merge: the windows, the merge and its order are never held at
         # once, which keeps a slice's peak, and so a theta run's, low.
@@ -418,7 +421,8 @@ def _pair_stream(
         raise RunTooLargeError(
             f"the run expects {expected:.3g} events, more than the limit of {MAX_EXPECTED_EVENTS:.3g}"
         )
-    rng = np.random.default_rng(seed)
+    # what default_rng(seed) returns, without its dispatch on the seed's type
+    rng = np.random.Generator(np.random.PCG64(seed))
     return rng, _poisson_stream(rng, cfg.pair_rate_hz, duration_s, empty)
 
 
@@ -434,10 +438,11 @@ def _merge_streams(*streams: tuple[np.ndarray, int]) -> tuple[np.ndarray, np.nda
     cheap while they are few.
     """
     streams = [(t, tag) for t, tag in streams if len(t)]
+    if len(streams) < 2:
+        times, tag = streams[0] if streams else (np.empty(0), 0)
+        return times, np.full(len(times), tag, dtype=np.int8)
     times = [t for t, _ in streams]
     tags = [np.full(len(t), tag, dtype=np.int8) for t, tag in streams]
-    if len(streams) <= 1:
-        return (times[0], tags[0]) if streams else (np.empty(0), np.empty(0, np.int8))
     later_times, later_tags = np.concatenate(times[1:]), np.concatenate(tags[1:])
     order = np.argsort(later_times, kind="stable")
     later_times, later_tags = later_times[order], later_tags[order]
@@ -453,12 +458,13 @@ def _dead_time_filter(times: np.ndarray, dead_ns: float) -> np.ndarray:
     closer to a live predecessor is dead, whatever came before.  Only runs
     of two or more consecutive close events need the sequential rule.
     """
-    keep = np.ones(len(times), dtype=bool)
-    close = times[1:] < times[:-1] + dead_ns
-    keep[1:] = ~close
+    keep = np.empty(len(times), dtype=bool)
+    keep[:1] = True
+    close = np.less(times[1:], times[:-1] + dead_ns, out=keep[1:])
     # events close to a close predecessor: replay each run of them from the
     # live event two places before its first one
     chained = 2 + (close[1:] & close[:-1]).nonzero()[0]
+    np.logical_not(close, out=close)
     if not chained.size:
         return keep
     prev = -2
@@ -559,8 +565,9 @@ def _idler_detect_probabilities(cfgs) -> list[tuple[float, list[float]]]:
     exactly as the memo's state passes the analyzer turned by -phi: the depolarizer
     commutes with the turn.  Under bernoulli_identity the turn succeeds with p_ok.  The
     projectors of each config's analyzer (for perp and copol) and turned analyzer are
-    formed from one array of kets and traced against the groups' states in one matmul,
-    which computes each 2x2 product as a lone ``@`` does.
+    formed from one complex array of kets, built from the entries :func:`linear_ket`
+    writes, and traced against the groups' states in one matmul, which computes each
+    2x2 product as a lone ``@`` does.
     """
     p_pass, states, kets, gain, eta = [], [], [], [], []
     for cfg in cfgs:
@@ -570,11 +577,12 @@ def _idler_detect_probabilities(cfgs) -> list[tuple[float, list[float]]]:
         p_pass.append(p_pass_i)
         states.append(groups)
         phi = cfg.pulse_amplitude_at_idler() * p.rotation_angle_deg
-        analyzer = linear_ket(cfg.analyzer.angle_deg)
-        kets.append((analyzer, analyzer, linear_ket(cfg.analyzer.angle_deg - phi)))
+        analyzer = _jones(cfg.analyzer.angle_deg)
+        kets += (*analyzer, *analyzer, *_jones(cfg.analyzer.angle_deg - phi))
         gain.append(cfg.idler_path_loss * cfg.analyzer.transmittance)
         eta.append(cfg.det2.eta)
-    kets = np.array(kets).reshape(-1, 3, 2)  # (0, 3, 2) for no configs
+    # from a flat list of floats, which numpy converts far faster than nested tuples
+    kets = np.array(kets, dtype=complex).reshape(-1, 3, 2)  # (0, 3, 2) for no configs
     projectors = kets[..., :, None] * kets[..., None, :].conj()
     traces = np.matmul(projectors, np.array(states).reshape(-1, 3, 2, 2)).trace(axis1=2, axis2=3)
     rows = (np.array(gain)[:, None] * traces.real * np.array(eta)[:, None]).tolist()
@@ -872,8 +880,9 @@ def _shortest_fixed(x: np.ndarray):
     while live.size:
         hi //= np.uint64(10)
         lo //= np.uint64(10)
+        # about half the rows stay, where compress is several times faster than a boolean index
         fewer = lo < hi
-        live, hi, lo = live[fewer], hi[fewer], lo[fewer]
+        live, hi, lo = live.compress(fewer), hi.compress(fewer), lo.compress(fewer)
         q[live] -= 1
     return integer, n_int, _nearest_fraction(k, s, q), q
 

@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
 
 from biphoton import cli
 from biphoton.cli import main
 from biphoton.scenario import render_config
 from biphoton.bench import BenchConfig
+from test_cli_golden import CASES, CFG, CLI_SHA256
 
 REFERENCE_COUNTS = """\
 # conditional calibration counts (per second)
@@ -184,6 +187,55 @@ def test_scan_delay_csv(scenario_file, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "delay_ns,singles_h,singles_v,coinc_h,coinc_v"
     assert len(lines) == 3
+
+
+def test_main_calls_in_one_process_share_one_parser(monkeypatch, capsys):
+    # main reuses build_parser's one parser; each call must print what it
+    # prints on a freshly built parser, and a golden case its pinned digest
+    simulate = ["simulate", "--config", CFG, "--duration", "0.2"]
+    calls = {  # name: (argv, BIPHOTON_SEED or None)
+        "scan_delay": (CASES["scan_delay"], None),
+        "usage error": (
+            ["scan", "--config", CFG, "--scan", "sideways", "--values", "0", "--duration", "0.1"],
+            None,
+        ),
+        "simulate_klyshko": (CASES["simulate_klyshko"], None),
+        "theta scan at seed 5": (
+            ["scan", "--config", CFG, "--scan", "theta", "--values", "0,90",
+             "--duration", "0.2", "--seed", "5"],
+            None,
+        ),
+        "BIPHOTON_SEED=7": (simulate, "7"),
+        "BIPHOTON_SEED=8": (simulate, "8"),
+    }
+
+    def call(argv, env):
+        if env is None:
+            monkeypatch.delenv("BIPHOTON_SEED", raising=False)
+        else:
+            monkeypatch.setenv("BIPHOTON_SEED", env)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = {}
+    for name, (argv, env) in calls.items():
+        cli.build_parser.cache_clear()
+        fresh[name] = call(argv, env)
+    assert [code for code, _, _ in fresh.values()] == [0, 2, 0, 0, 0, 0]
+    assert "invalid choice: 'sideways'" in fresh["usage error"][2]
+    assert fresh["BIPHOTON_SEED=7"][1].endswith(",7\n")
+    assert fresh["BIPHOTON_SEED=8"][1].endswith(",8\n")
+    for name in ("scan_delay", "simulate_klyshko"):
+        assert hashlib.sha256(fresh[name][1].encode()).hexdigest() == CLI_SHA256[name][0]
+
+    cli.build_parser.cache_clear()
+    for name in [*calls, *reversed(calls)]:
+        assert call(*calls[name]) == fresh[name], name
+    assert cli.build_parser.cache_info().misses == 1  # one parser for all twelve calls
 
 
 def test_scan_rejects_bad_values(scenario_file, capsys):

@@ -12,7 +12,9 @@ bodies built from the references.  The conditional run refills one draw
 buffer and picks each pair's idler comparison with boolean arithmetic; both
 are compared with the fresh draws and the float ``np.where`` they replace.
 Event times drawn into a given array, a scan's shared one included, are
-compared bit for bit with the sorted ``Generator.uniform`` draws they replace.
+compared bit for bit with the sorted ``Generator.uniform`` draws they replace,
+and a run's generator, built without ``default_rng``, with the one
+``default_rng`` builds.
 """
 
 import math
@@ -599,6 +601,19 @@ def test_pair_times_drawn_into_an_array_are_the_bits_of_sorted_uniform_draws(
     assert np.array_equal(times.view(np.uint64), expected.view(np.uint64))
     # the generator is left in the same state, so the run's later draws line up
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 - 1])  # 2**64 - 1: subseed's largest
+def test_a_runs_generator_is_the_one_default_rng_builds(seed):
+    # a run builds Generator(PCG64(seed)) itself; should default_rng change its
+    # bit generator or its seeding, this fails, not only the pinned counts
+    cfg = BenchConfig()
+    rng, times = simulate._pair_stream(cfg, 0.01, seed)
+    ref = np.random.default_rng(seed)
+    expected = simulate._poisson_stream(ref, cfg.pair_rate_hz, 0.01)
+    assert len(times) and np.array_equal(times.view(np.uint64), expected.view(np.uint64))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert np.array_equal(rng.random(8), ref.random(8))
 
 
 @settings(max_examples=300)
