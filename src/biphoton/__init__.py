@@ -90,8 +90,6 @@ from .uncertainty import (
     format_budget,
     monte_carlo_uncertainty,
     poisson_std,
-    sensitivities_conditional,
-    sensitivities_klyshko,
 )
 
 __version__ = "0.1.0"

@@ -4,12 +4,14 @@ Combined standard uncertainty follows the usual quadrature rule
 
     u^2(eta) = sum_i c_i^2 u^2(x_i)
 
-with closed-form sensitivity coefficients c_i, assembled into per-input
-budget rows (value, standard deviation, distribution, sensitivity,
-contribution).  Input correlations are taken as zero.  A seeded Monte Carlo
-cross-check samples the inputs from their stated distributions and returns
-the sample standard deviation of the estimator, which should agree with the
-analytic combined uncertainty in the first-order regime.
+with each sensitivity coefficient c_i taken by complex step from the
+scheme's estimator formula in :mod:`biphoton.calibrate`, the one place that
+states it, and assembled into per-input budget rows (value, standard
+deviation, distribution, sensitivity, contribution).  Input correlations
+are taken as zero.  A seeded Monte Carlo cross-check samples the inputs
+from their stated distributions and returns the sample standard deviation
+of the estimator, which should agree with the analytic combined
+uncertainty in the first-order regime.
 
 The budgets and the Monte Carlo check's scheme ids take inputs named as in
 ``INPUT_NAMES``, in that order: ``n_h, n_v, nc_h, nc_v`` (conditional) and
@@ -29,6 +31,7 @@ wanted.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
@@ -36,14 +39,12 @@ import numpy as np
 
 from ._checked import _admit, _check_seed, _Checked, _choices, _range
 from .calibrate import (
-    _NS_TO_S,
     CalibrationError,
     CountSummary,
     KlyshkoCounts,
     conditional_estimator,
     eta_conditional,
     eta_klyshko,
-    klyshko_corrections,
     klyshko_estimator,
 )
 
@@ -130,43 +131,27 @@ def poisson_std(rate_hz: float, integration_s: float) -> float:
 # sensitivity coefficients
 
 
-def sensitivities_conditional(c: CountSummary) -> tuple[float, float, float, float]:
-    """Closed-form partials of the conditional estimator.
+def _sensitivities(formula: Callable, values: Sequence[float]) -> tuple[float, ...]:
+    """Partials of ``formula`` at ``values`` by complex step: Im f(x + i h e_i) / h.
 
-    Returns (d/dN_H, d/dN_V, d/dNc_H, d/dNc_V) of
-
-        eta1 = [(N_V - N_H)/(N_V + N_H)] * [(Nc_V + Nc_H)/(Nc_V - Nc_H)].
+    The step takes no difference, so it can sit far below each value's scale
+    and leave no truncation error (Squire and Trapp, SIAM Review 40, 110
+    (1998)).  What rounding is left comes from the formula's complex
+    operations: a quotient's imaginary part subtracts two products, so a
+    conditional coefficient is good to about eps * (x + y) / min(x, y) of
+    its pair of counts.  A step below the normal floats, from a value under
+    about 2e-278, raises OverflowError rather than give a coefficient of
+    lost precision.
     """
-    s = c.n_v + c.n_h
-    d = c.nc_v - c.nc_h
-    if s == 0 or d == 0:
-        raise CalibrationError("sensitivities undefined: degenerate counts")
-    vis = (c.n_v - c.n_h) / s
-    con = (c.nc_v + c.nc_h) / d
-    return (
-        con * (-2.0 * c.n_v / s**2),
-        con * (2.0 * c.n_h / s**2),
-        vis * (2.0 * c.nc_v / d**2),
-        vis * (-2.0 * c.nc_h / d**2),
-    )
-
-
-def sensitivities_klyshko(k: KlyshkoCounts) -> tuple[float, float, float, float]:
-    """Closed-form partials of eta = N_c / (N_i * gamma * alpha).
-
-    Returns (d/dN_i, d/dN_c, d/dN_s, d/dT) with the T derivative expressed
-    per nanosecond, matching how the stop delay is quoted.
-    """
-    gamma, alpha = klyshko_corrections(k.n_signal, k.tau_ns, k.t_ns)
-    eta = eta_klyshko(k).value
-    if k.n_coincidence == 0:
-        raise CalibrationError("sensitivities undefined: zero coincidences (d/dN_c = eta / N_c)")
-    return (
-        -eta / k.n_idler,
-        eta / k.n_coincidence,
-        eta * (k.tau_ns * _NS_TO_S / gamma + k.t_ns * _NS_TO_S / alpha),
-        eta * k.n_signal / alpha * _NS_TO_S,
-    )
+    coefficients = []
+    for i, x in enumerate(values):
+        h = 1e-30 * (abs(x) or 1.0)
+        if h < sys.float_info.min:
+            raise OverflowError(f"the derivative step at {x!r} is below the normal floats")
+        stepped = list(values)
+        stepped[i] = complex(x, h)
+        coefficients.append(formula(*stepped).imag / h)
+    return tuple(coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +200,9 @@ def _counts(scheme: str, inputs: Sequence[UncertainInput], tau_ns: float | None 
 
 def budget_conditional(inputs: Sequence[UncertainInput]) -> Budget:
     """Budget of the conditional estimator; inputs as in ``INPUT_NAMES["conditional"]``."""
-    c = _counts("conditional", inputs)
-    return Budget(eta_conditional(c).value, _rows(inputs, sensitivities_conditional(c)))
+    estimate = eta_conditional(_counts("conditional", inputs)).value
+    coeffs = _sensitivities(conditional_estimator, [inp.value for inp in inputs])
+    return Budget(estimate, _rows(inputs, coeffs))
 
 
 def budget_klyshko(
@@ -233,8 +219,15 @@ def budget_klyshko(
     values; the computed one is always the one used.
     """
     k = _counts("klyshko", inputs, tau_ns)
-    coeffs = sensitivities_klyshko(k)
-    return Budget(eta_klyshko(k).value, _rows(inputs, coeffs, reference_sensitivities))
+    estimate = eta_klyshko(k).value
+    if k.n_coincidence == 0:
+        # every other coefficient is then 0 too, and a first-order budget
+        # about an estimate of 0 reaches negative efficiencies
+        raise CalibrationError("budget_klyshko: zero coincidences give an estimate of 0")
+    coeffs = _sensitivities(
+        lambda *x: klyshko_estimator(*x, k.tau_ns), [inp.value for inp in inputs]
+    )
+    return Budget(estimate, _rows(inputs, coeffs, reference_sensitivities))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ against the plain event loops below, its stream merge against the stable
 sort it replaces, its memoized idler states against the unmemoized per-run
 construction they replace, and its conditional and Klyshko run bodies
 against run bodies built from these references, which draw their own event
-times as sorted ``Generator.uniform`` draws.
+times as sorted ``Generator.uniform`` draws.  The budgets' complex-step
+sensitivity coefficients are checked against hand-derived partials.
 """
 
 from __future__ import annotations
@@ -410,6 +411,42 @@ def event_csv_reference(records, path) -> None:
         fh.write("channel,time_ns,origin\n")
         for r in records:
             fh.write(f"{r.channel},{r.time_ns!r},{r.origin}\n")
+
+
+def sensitivities_conditional_reference(c) -> tuple[float, float, float, float]:
+    """Hand-derived partials of the conditional estimator at a ``CountSummary``.
+
+    Returns (d/dN_H, d/dN_V, d/dNc_H, d/dNc_V) of
+
+        eta1 = [(N_V - N_H)/(N_V + N_H)] * [(Nc_V + Nc_H)/(Nc_V - Nc_H)].
+    """
+    s = c.n_v + c.n_h
+    d = c.nc_v - c.nc_h
+    vis = (c.n_v - c.n_h) / s
+    con = (c.nc_v + c.nc_h) / d
+    return (
+        con * (-2.0 * c.n_v / s**2),
+        con * (2.0 * c.n_h / s**2),
+        vis * (2.0 * c.nc_v / d**2),
+        vis * (-2.0 * c.nc_h / d**2),
+    )
+
+
+def sensitivities_klyshko_reference(k) -> tuple[float, float, float, float]:
+    """Hand-derived partials of eta = N_c / (N_i * gamma * alpha) at a ``KlyshkoCounts``,
+    with gamma = 1 - N_s tau and alpha = 1 - N_s T.
+
+    Returns (d/dN_i, d/dN_c, d/dN_s, d/dT), the T derivative per nanosecond.
+    """
+    gamma = 1.0 - k.n_signal * k.tau_ns * 1e-9
+    alpha = 1.0 - k.n_signal * k.t_ns * 1e-9
+    eta = k.n_coincidence / (k.n_idler * gamma * alpha)
+    return (
+        -eta / k.n_idler,
+        1.0 / (k.n_idler * gamma * alpha),
+        eta * (k.tau_ns * 1e-9 / gamma + k.t_ns * 1e-9 / alpha),
+        eta * k.n_signal / alpha * 1e-9,
+    )
 
 
 @pytest.fixture(scope="session")

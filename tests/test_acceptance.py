@@ -36,8 +36,6 @@ from biphoton.uncertainty import (
     budget_conditional,
     budget_klyshko,
     monte_carlo_uncertainty,
-    sensitivities_conditional,
-    sensitivities_klyshko,
 )
 
 REFERENCE = CountSummary(n_h=76.6, n_v=165.9, nc_h=4.4, nc_v=48.7)
@@ -75,8 +73,8 @@ def test_criterion_01_reference_estimate_and_polarizer_correction():
 
 
 def test_criterion_02_reference_budget(reference_conditional_inputs):
-    coeffs = sensitivities_conditional(REFERENCE)
     budget = budget_conditional(reference_conditional_inputs)
+    coeffs = [row.sensitivity for row in budget.rows]
     coeff_ok = all(
         sigfigs_ok(got, expected, 3)
         for got, expected in zip(coeffs, (-0.006763, 0.003123, 0.01827, -0.00165))
@@ -281,10 +279,8 @@ def test_criterion_09_sensitivities_and_monte_carlo(
         fd(lambda *a: eta_conditional(CountSummary(*a)).value, cond_args, i)
         for i in range(4)
     ]
-    cond_ok = all(
-        abs(a / b - 1.0) < 1e-6
-        for a, b in zip(sensitivities_conditional(REFERENCE), cond_fd)
-    )
+    cond_budget = budget_conditional(reference_conditional_inputs)
+    cond_ok = all(abs(r.sensitivity / b - 1.0) < 1e-6 for r, b in zip(cond_budget.rows, cond_fd))
     k_args = (REFERENCE_K.n_idler, REFERENCE_K.n_coincidence, REFERENCE_K.n_signal, 9.3)
     k_fd = [
         fd(
@@ -294,13 +290,10 @@ def test_criterion_09_sensitivities_and_monte_carlo(
         )
         for i in range(4)
     ]
-    k_ok = all(
-        abs(a / b - 1.0) < 1e-6 for a, b in zip(sensitivities_klyshko(REFERENCE_K), k_fd)
-    )
-
-    cond_budget = budget_conditional(reference_conditional_inputs)
-    cond_mc = monte_carlo_uncertainty("conditional", reference_conditional_inputs, 100_000)
     k_budget = budget_klyshko(reference_klyshko_inputs, tau_ns=40.0)
+    k_ok = all(abs(r.sensitivity / b - 1.0) < 1e-6 for r, b in zip(k_budget.rows, k_fd))
+
+    cond_mc = monte_carlo_uncertainty("conditional", reference_conditional_inputs, 100_000)
     k_mc = monte_carlo_uncertainty("klyshko", reference_klyshko_inputs, 100_000, tau_ns=40.0)
     mc_cond_rel = abs(cond_mc / cond_budget.combined_u - 1.0)
     mc_k_rel = abs(k_mc / k_budget.combined_u - 1.0)

@@ -71,8 +71,6 @@ PUBLIC_NAMES = [
     "run_klyshko_experiment",
     "scan_delay",
     "scan_theta",
-    "sensitivities_conditional",
-    "sensitivities_klyshko",
     "subseed",
     "tac_coincidences",
     "visibility",

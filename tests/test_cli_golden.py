@@ -65,11 +65,11 @@ CLI_SHA256 = {
     "scan_delay": ("cd1e7228477e8965d3bc0b25e1e0cb105fb9484e0a9d0474e2ab3940a6db8c28", None),
     "calibrate_conditional": (
         "f9cfb427d604f26067bf45d98efaf4c7bcfc2efb9885f5fdae47bc5387e509fd",
-        "abda5777798216e8e808e738c42aa0e30e943a805a3b3bf0cb7750b576fc8632",
+        "1cf2e93ca385be0313664b308150e8fce202d151db10deb2aba91ec39b46626c",
     ),
     "calibrate_klyshko": (
         "1cf6337847ebd05e2345e958b94c663bfcd4fbb6cff106579e929f82a4204294",
-        "e9dc31480b2f18a79077a2aefd6cacb78cfb5a236c55228d0d589fdb5c1ccf76",
+        "959635d6527a2cabff4b87b886b341f34de5ac83f85ce519b4f22c8b8170a5a4",
     ),
     "calibrate_conditional_no_budget": (
         "c47e6227dff69a6df5001f803be22a07b2ffc9f2683891ef77c897361002b9df",

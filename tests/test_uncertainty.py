@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
@@ -8,7 +9,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import sigfigs_ok
+from hypothesis import assume, example, given, strategies as st
+
+from conftest import (
+    sensitivities_conditional_reference,
+    sensitivities_klyshko_reference,
+    sigfigs_ok,
+)
 from biphoton import uncertainty
 from biphoton.calibrate import (
     CalibrationError,
@@ -28,14 +35,21 @@ from biphoton.uncertainty import (
     klyshko_estimator,
     monte_carlo_uncertainty,
     poisson_std,
-    sensitivities_conditional,
-    sensitivities_klyshko,
 )
 
 REFERENCE = CountSummary(n_h=76.6, n_v=165.9, nc_h=4.4, nc_v=48.7)
 REFERENCE_K = KlyshkoCounts(
     n_signal=131777.0, n_idler=1832.8, n_coincidence=874.4, tau_ns=40.0, t_ns=9.3
 )
+
+
+def coefficients(budget: Budget) -> list[float]:
+    return [row.sensitivity for row in budget.rows]
+
+
+def _inputs(scheme, counts, std_dev=1.0):
+    """Budget inputs of a counts record's values, each with the same deviation."""
+    return [UncertainInput(n, getattr(counts, n), std_dev) for n in uncertainty.INPUT_NAMES[scheme]]
 
 
 def central_difference(func, args, index, rel_step=1e-4):
@@ -99,20 +113,20 @@ def test_poisson_std_helper():
 # sensitivities
 
 
-def test_conditional_sensitivities_reference_values():
-    c1, c2, c3, c4 = sensitivities_conditional(REFERENCE)
+def test_conditional_sensitivities_reference_values(reference_conditional_inputs):
+    c1, c2, c3, c4 = coefficients(budget_conditional(reference_conditional_inputs))
     assert sigfigs_ok(c1, -0.006763, 3)
     assert sigfigs_ok(c2, 0.003123, 3)
     assert sigfigs_ok(c3, 0.01827, 3)
     assert sigfigs_ok(c4, -0.00165, 3)
 
 
-def test_conditional_sensitivities_match_finite_differences():
+def test_conditional_sensitivities_match_finite_differences(reference_conditional_inputs):
     def estimator(n_h, n_v, nc_h, nc_v):
         return eta_conditional(CountSummary(n_h, n_v, nc_h, nc_v)).value
 
     args = (REFERENCE.n_h, REFERENCE.n_v, REFERENCE.nc_h, REFERENCE.nc_v)
-    analytic = sensitivities_conditional(REFERENCE)
+    analytic = coefficients(budget_conditional(reference_conditional_inputs))
     for i in range(4):
         fd = central_difference(estimator, args, i)
         assert analytic[i] == pytest.approx(fd, rel=1e-6)
@@ -120,7 +134,7 @@ def test_conditional_sensitivities_match_finite_differences():
 
 def test_conditional_sensitivities_symmetric_counts():
     c = CountSummary(n_h=100.0, n_v=100.0, nc_h=4.4, nc_v=48.7)
-    c1, c2, c3, c4 = sensitivities_conditional(c)
+    c1, c2, c3, c4 = coefficients(budget_conditional(_inputs("conditional", c)))
     contrast = (c.nc_v + c.nc_h) / (c.nc_v - c.nc_h)
     assert c1 == pytest.approx(-contrast / 200.0, rel=1e-12)
     assert c2 == pytest.approx(contrast / 200.0, rel=1e-12)
@@ -130,35 +144,33 @@ def test_conditional_sensitivities_symmetric_counts():
 @pytest.mark.parametrize("c", [CountSummary(1, 1, 2, 2), CountSummary(0, 0, 1, 2)])
 def test_conditional_sensitivities_reject_degenerate_counts(c):
     # equal coincidences (zero Pockels contrast) or zero singles
-    with pytest.raises(CalibrationError, match="degenerate counts"):
-        sensitivities_conditional(c)
+    with pytest.raises(CalibrationError, match="zero (Pockels contrast|singles rates)"):
+        budget_conditional(_inputs("conditional", c))
 
 
-def test_klyshko_sensitivities_match_finite_differences():
+def test_klyshko_sensitivities_match_finite_differences(reference_klyshko_inputs):
     def estimator(n_i, n_c, n_s, t_ns):
         return eta_klyshko(KlyshkoCounts(n_s, n_i, n_c, 40.0, t_ns)).value
 
     args = (REFERENCE_K.n_idler, REFERENCE_K.n_coincidence, REFERENCE_K.n_signal, 9.3)
-    analytic = sensitivities_klyshko(REFERENCE_K)
+    analytic = coefficients(budget_klyshko(reference_klyshko_inputs, tau_ns=40.0))
     for i in range(4):
         fd = central_difference(estimator, args, i)
         assert analytic[i] == pytest.approx(fd, rel=1e-6)
 
 
 def test_klyshko_sensitivities_reject_zero_coincidences(reference_klyshko_inputs):
-    # the estimate is 0, but d/dN_c = eta / N_c is not defined
+    # the estimate is 0, and the budget refuses it as a precondition
     k = replace(REFERENCE_K, n_coincidence=0.0)
     assert eta_klyshko(k).value == 0.0
-    with pytest.raises(CalibrationError, match="zero coincidences"):
-        sensitivities_klyshko(k)
     inputs = list(reference_klyshko_inputs)
     inputs[1] = UncertainInput("n_coincidence", 0.0, 5.2)
     with pytest.raises(CalibrationError, match="zero coincidences"):
         budget_klyshko(inputs, tau_ns=40.0)
 
 
-def test_klyshko_sensitivities_reference_values():
-    c_ni, c_nc, c_ns, c_t = sensitivities_klyshko(REFERENCE_K)
+def test_klyshko_sensitivities_reference_values(reference_klyshko_inputs):
+    c_ni, c_nc, c_ns, c_t = coefficients(budget_klyshko(reference_klyshko_inputs, tau_ns=40.0))
     # quoted table coefficients derive from the uncorrected ratio (1/N_i =
     # 0.000546); the corrected propagation agrees with them to 2 figures
     assert sigfigs_ok(c_ni, -0.00026, 2)
@@ -172,6 +184,56 @@ def test_klyshko_sensitivities_reference_values():
     assert c_t == pytest.approx(eta * 131777.0 / alpha * 1e-9, rel=1e-12)
     assert c_ns == pytest.approx(2.38e-8, rel=5e-3)
     assert c_t == pytest.approx(6.34e-5, rel=5e-3)
+
+
+_counts = st.floats(1e-3, 1e9)
+
+
+@given(_counts, _counts, _counts, _counts)
+@example(n_h=76.6, n_v=165.9, nc_h=4.4, nc_v=48.7)
+@example(n_h=1e-3, n_v=1e9, nc_h=1e9, nc_v=1e-3)
+def test_conditional_budget_coefficients_match_hand_partials(n_h, n_v, nc_h, nc_v):
+    # A complex quotient's imaginary part subtracts two products, so each
+    # coefficient carries a rounding error of about eps * (x + y) / min(x, y)
+    # of its pair of counts x, y: within 1e-11 up to a spread of about 1e4,
+    # about 2e-4 at 1e-3 against 1e9.  The hand partials have no such loss.
+    assume(nc_v != nc_h)
+    c = CountSummary(n_h, n_v, nc_h, nc_v)
+    got = coefficients(budget_conditional(_inputs("conditional", c)))
+    spreads = 2 * [(n_h + n_v) / min(n_h, n_v)] + 2 * [(nc_h + nc_v) / min(nc_h, nc_v)]
+    for a, b, spread in zip(got, sensitivities_conditional_reference(c), spreads):
+        assert math.isclose(a, b, rel_tol=max(1e-11, 4 * sys.float_info.epsilon * spread))
+
+
+# a product N_s tau or N_s T below 1; tau or T of 0, or small but of a normal
+# step (a value under about 2e-278 raises, as the test below checks)
+_dead_share = st.just(0.0) | st.floats(1e-9, 0.99)
+
+
+@given(_counts, _counts, st.floats(1e-3, 1.0), _dead_share, _dead_share)
+def test_klyshko_budget_coefficients_match_hand_partials(n_signal, n_idler, share, tau_s, t_s):
+    # coincidences a share of the smaller singles rate, and N_s tau and N_s T
+    # the shares tau_s and t_s
+    n_coincidence = share * min(n_signal, n_idler)
+    k = KlyshkoCounts(
+        n_signal, n_idler, n_coincidence, tau_s / n_signal * 1e9, t_s / n_signal * 1e9
+    )
+    got = coefficients(budget_klyshko(_inputs("klyshko", k), tau_ns=k.tau_ns))
+    for a, b in zip(got, sensitivities_klyshko_reference(k)):
+        assert math.isclose(a, b, rel_tol=1e-11)
+
+
+def test_budgets_raise_for_a_derivative_step_below_the_normal_floats(reference_klyshko_inputs):
+    conditional = CountSummary(n_h=76.6, n_v=165.9, nc_h=1e-300, nc_v=2e-300)
+    with pytest.raises(ArithmeticError):
+        budget_conditional(_inputs("conditional", conditional))
+    n_i, n_c, n_s, t = reference_klyshko_inputs
+    # a step that underflows to 0, and a subnormal one, whose products with
+    # N_i would give N_s and T coefficients 2% and 20% off
+    for value in (1e-310, 1e-290):
+        tiny = [replace(n_i, value=value), replace(n_c, value=value), n_s, t]
+        with pytest.raises(ArithmeticError):
+            budget_klyshko(tiny, tau_ns=40.0)
 
 
 # ---------------------------------------------------------------------------
