@@ -7,7 +7,12 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import fields
+
+# ``x <= _FLOAT_MAX`` fails for inf, NaN and an int no float can hold (10**400),
+# which ``x < math.inf`` lets through to an OverflowError further on
+_FLOAT_MAX = sys.float_info.max
 
 
 def _range(lo: float = -math.inf, hi: float = math.inf, *, lo_open=False, inf_ok=False) -> dict:

@@ -53,9 +53,16 @@ class PulseShape(_Checked):
         return self.rise_ns + self.flat_ns + self.fall_ns
 
     def amplitude(self, t_ns: float) -> float:
-        """Instantaneous amplitude at ``t_ns`` after the pulse start; NaN raises ValueError."""
-        if math.isnan(t_ns):
-            raise ValueError(f"PulseShape.amplitude: t_ns = {t_ns!r} must be a number")
+        """Instantaneous amplitude at ``t_ns`` after the pulse start; NaN, or an int
+        no float can hold, raises ValueError."""
+        try:
+            unusable = math.isnan(t_ns)
+        except OverflowError:
+            unusable = True
+        if unusable:
+            raise ValueError(
+                f"PulseShape.amplitude: t_ns = {t_ns!r} must be a number a float can hold"
+            )
         if t_ns < 0.0:
             return 0.0
         if t_ns < self.rise_ns:

@@ -16,8 +16,10 @@ runs (different seeds or scan values) may execute concurrently and their
 counts merge by summation.  A scan makes one set of whole-length run buffers
 and hands it to each of its points in turn, with that point's row of idler
 detection probabilities, computed for all its points in one batch; no
-buffer or row is kept between calls, so concurrent scans and runs share
-nothing.  Pair times are drawn into such a buffer with the bits of
+buffer or row is kept between calls.  Concurrent scans and runs share one
+thing: ``_idler_group_states``, a process-wide one-entry ``lru_cache`` of
+idler states, whose arrays are read-only and which ``lru_cache`` keeps
+thread-safe.  Pair times are drawn into such a buffer with the bits of
 ``Generator.uniform``.
 
 Per pair, outcome probabilities come from the exact conditional states of
@@ -43,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checked import _check_seed
+from ._checked import _FLOAT_MAX, _check_seed
 from .bench import BenchConfig
 from .calibrate import CalibrationError, CountSummary, KlyshkoCounts
 from .polarization import (
@@ -57,10 +59,10 @@ EXPERIMENTS = ("conditional", "klyshko")
 
 _NS_PER_S = 1.0e9
 _INF = np.array([math.inf])  # the TAC merge's closing stop
-# Traced with tracemalloc at 1e6 pairs, a conditional run peaks at 26.05-26.15
-# bytes per pair (pinned at 26.5), 29.0-29.1 with records, and a Klyshko run
-# is pinned at 24.3, so a run of this many expected events peaks near
-# 1.2 GiB, or 1.4 GiB with records.
+# A run's traced bytes per expected pair are pinned by the rows conditional_run
+# and klyshko_run of tests/test_simulate.py::test_run_peaks_per_expected_pair
+# (about 3 more with records), so a run of this many expected events peaks
+# near 1.2 GiB, or 1.4 GiB with records.
 MAX_EXPECTED_EVENTS = 5.0e7
 
 
@@ -238,7 +240,11 @@ def driver_gate(times_ns, rate_threshold_hz: float, disable_duration_s: float) -
     threshold.
     """
     t = np.asarray(times_ns, dtype=float)
-    if not (rate_threshold_hz > 0 and disable_duration_s >= 0):
+    try:
+        disable_ns = disable_duration_s * _NS_PER_S
+    except OverflowError:  # an int no float can hold
+        disable_ns = math.nan
+    if not (rate_threshold_hz > 0 and disable_ns >= 0):
         raise ValueError("driver_gate: need rate_threshold_hz > 0 and disable_duration_s >= 0")
     _check_stream("driver_gate: detection stream", t)
     n = len(t)
@@ -246,7 +252,6 @@ def driver_gate(times_ns, rate_threshold_hz: float, disable_duration_s: float) -
     # detections, exactly when the detection ``back`` places back is inside it
     back = n if rate_threshold_hz >= n else math.floor(rate_threshold_hz)
     over = back + (t[: n - back] > t[back:] - _NS_PER_S).nonzero()[0]
-    disable_ns = disable_duration_s * _NS_PER_S
     fired = np.ones(n, dtype=bool)
     k = 0
     while k < len(over):
@@ -275,9 +280,9 @@ def tac_coincidences(
     stops = np.asarray(stops, dtype=float)
     _check_stream("tac_coincidences: start stream", starts)
     _check_stream("tac_coincidences: stop stream", stops)
-    if not 0 < window_ns < math.inf:
+    if not 0 < window_ns <= _FLOAT_MAX:
         raise ValueError("tac_coincidences: window_ns must be finite and > 0")
-    if not math.isfinite(stop_delay_ns):
+    if not -_FLOAT_MAX <= stop_delay_ns <= _FLOAT_MAX:
         raise ValueError("tac_coincidences: stop_delay_ns must be finite")
     n, m = len(starts), len(stops)
     # the merge's +inf sentinel lies above every window opening only while
@@ -412,7 +417,7 @@ def _pair_stream(
     """Seeded generator of one run and the sorted emission times of its pairs,
     drawn into ``empty(n)``."""
     _check_seed(seed)
-    if not 0.0 <= duration_s < math.inf:
+    if not 0.0 <= duration_s <= _FLOAT_MAX:
         raise ValueError(f"duration_s must be finite and >= 0, got {duration_s!r}")
     expected = duration_s * (
         cfg.pair_rate_hz + cfg.det1.dark_rate_hz + cfg.det2.dark_rate_hz + cfg.background_rate_hz
@@ -697,10 +702,12 @@ def run_klyshko_experiment(
     Coincidences use the TAC with the configured stop-line delay.
     """
     rng, t_pairs = _pair_stream(cfg, duration_s, seed)
-    n_pairs = len(t_pairs)
 
-    cand1 = rng.random(n_pairs) < cfg.det1.eta
-    cand2 = rng.random(n_pairs) < cfg.idler_path_loss * cfg.det2.eta
+    # one array holds both per-pair draws: random(out=u) gives the bits of random(n)
+    u = rng.random(len(t_pairs))
+    cand1 = u < cfg.det1.eta
+    cand2 = rng.random(out=u) < cfg.idler_path_loss * cfg.det2.eta
+    del u
     dark1 = _poisson_stream(rng, cfg.det1.dark_rate_hz, duration_s)
     dark2 = _poisson_stream(rng, cfg.det2.dark_rate_hz, duration_s)
     backgr = _poisson_stream(rng, cfg.background_rate_hz, duration_s)
@@ -734,12 +741,15 @@ def scan_theta(
     Output row order matches the input angle order; rows feed
     :func:`biphoton.calibrate.fit_theta_curve` directly.
     """
-    angles = [float(angle) for angle in angles_deg]
     runs = _conditional_runs(duration_s, (
         (replace(cfg, analyzer=Projector(a, cfg.analyzer.transmittance)), subseed(seed, i))
-        for i, a in enumerate(angles)
+        for i, a in enumerate(angles_deg)
     ))
-    return [ThetaScanPoint(a, r.singles_analyzer, r.coincidences) for a, r in zip(angles, runs)]
+    # each angle as its Projector checked and stored it
+    return [
+        ThetaScanPoint(r.config.analyzer.angle_deg, r.singles_analyzer, r.coincidences)
+        for r in runs
+    ]
 
 
 def scan_delay(
@@ -751,16 +761,16 @@ def scan_delay(
     90 deg), matching a physical polarizer that sits at one angle per run.
     """
     analyzers = [Projector(angle, cfg.analyzer.transmittance) for angle in (0.0, 90.0)]
-    delays = [float(delay) for delay in delays_ns]
     runs = _conditional_runs(duration_s, (
         (replace(cfg, electronic_delay_ns=d, analyzer=a), subseed(seed, i, k))
-        for i, d in enumerate(delays)
+        for i, d in enumerate(delays_ns)
         for k, a in enumerate(analyzers)
     ))
-    # each delay takes its H run, then its V run
+    # each delay takes its H run, then its V run, and is as its config checked and stored it
     return [
-        DelayScanPoint(d, h.singles_analyzer, v.singles_analyzer, h.coincidences, v.coincidences)
-        for d, h, v in zip(delays, runs, runs)
+        DelayScanPoint(h.config.electronic_delay_ns, h.singles_analyzer, v.singles_analyzer,
+                       h.coincidences, v.coincidences)
+        for h, v in zip(runs, runs)
     ]
 
 

@@ -37,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._checked import _admit, _check_seed, _Checked, _choices, _range
+from ._checked import _FLOAT_MAX, _admit, _check_seed, _Checked, _choices, _range
 from .calibrate import (
     CalibrationError,
     CountSummary,
@@ -119,7 +119,7 @@ class Budget:
 
 def poisson_std(rate_hz: float, integration_s: float) -> float:
     """Counting standard deviation of a rate: sqrt(rate / integration time)."""
-    if not (0 <= rate_hz < math.inf and 0 < integration_s < math.inf):
+    if not (0 <= rate_hz <= _FLOAT_MAX and 0 < integration_s <= _FLOAT_MAX):
         raise ValueError("poisson_std: need a finite rate >= 0 and a finite integration time > 0")
     std = math.sqrt(rate_hz / integration_s)
     if std == math.inf:

@@ -1,4 +1,5 @@
-"""Shared test helpers: independent oracles and tolerance utilities.
+"""Shared test helpers: independent oracles, tolerance utilities and the
+traced-memory harness.
 
 The oracles here deliberately avoid the package's own algebra paths: the
 branch enumeration builds its states with raw numpy kron/reshape calls and
@@ -16,6 +17,7 @@ sensitivity coefficients are checked against hand-derived partials.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -39,6 +41,22 @@ def sigfigs_ok(value: float, reference: float, n: int) -> bool:
         return abs(value) < 10.0 ** (-n)
     scale = math.floor(math.log10(abs(reference)))
     return abs(value - reference) <= 0.5 * 10.0 ** (scale - n + 1)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes allocated while ``fn(*args)`` runs, above what was held before;
+    numpy reports its buffers to tracemalloc.  An outer tracer keeps running."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def _ket(angle_deg: float) -> np.ndarray:

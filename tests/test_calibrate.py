@@ -2,6 +2,7 @@ import math
 from dataclasses import fields, replace
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import enumerate_conditional_rates
-from biphoton.bench import BenchConfig, ConfigError, DetectorParams, PockelsParams
+from biphoton.bench import BenchConfig, ConfigError, DetectorParams, PockelsParams, PulseShape
 from biphoton.calibrate import (
     CalibrationError,
     CountSummary,
@@ -28,7 +29,16 @@ from biphoton.calibrate import (
     visibility_sigma,
 )
 from biphoton.polarization import Projector
-from biphoton.simulate import conditional_counts, run_conditional_experiment
+from biphoton.simulate import (
+    conditional_counts,
+    driver_gate,
+    run_conditional_experiment,
+    run_klyshko_experiment,
+    scan_delay,
+    scan_theta,
+    tac_coincidences,
+)
+from biphoton.uncertainty import poisson_std
 
 REFERENCE = CountSummary(n_h=76.6, n_v=165.9, nc_h=4.4, nc_v=48.7)
 
@@ -195,6 +205,21 @@ def test_a_number_no_float_can_hold_raises_the_record_error():
         BenchConfig(pair_rate_hz=10**5000)
     with pytest.raises(CalibrationError, match="^KlyshkoCounts: t_ns = .* float can hold$"):
         KlyshkoCounts(100.0, 10.0, 1.0, tau_ns=0.0, t_ns=Fraction(10**5000, 3))
+    # as an argument of the engine, the scans and the helpers: ValueError, not OverflowError
+    cfg, t, big = BenchConfig(), np.arange(3.0), 10**400
+    for call in (
+        partial(run_conditional_experiment, cfg, big, 0),
+        partial(run_klyshko_experiment, cfg, big, 0),
+        partial(scan_theta, cfg, [big], 0.01, 0),
+        partial(scan_delay, cfg, [big], 0.01, 0),
+        partial(driver_gate, t, 10.0, big),
+        partial(tac_coincidences, t, t, big, 0.0),
+        partial(tac_coincidences, t, t, 4.0, big),
+        partial(PulseShape().amplitude, big),
+        partial(poisson_std, big, 1.0),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 @pytest.mark.parametrize("u", [-1.0, math.nan])

@@ -1,15 +1,15 @@
 import math
 import re
-import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import conditional_run_reference, tac_loop_reference, tac_reference
+from conftest import conditional_run_reference, tac_loop_reference, tac_reference, traced_peak
 from biphoton import simulate
 from biphoton.bench import (
     MAX_DELAY_NS,
@@ -921,22 +921,7 @@ def test_write_event_csv_format(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# memory: numpy reports its buffers to tracemalloc, so these peaks are counts
-
-
-def traced_peak(fn, *args) -> int:
-    """Peak bytes allocated while ``fn(*args)`` runs, above what was held before."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - held
-    finally:
-        if started:
-            tracemalloc.stop()
+# memory: traced peaks; a current numpy's allocations set the `traced_memory` bounds
 
 
 def test_tac_temporaries_do_not_grow_with_the_stream():
@@ -952,6 +937,7 @@ def test_tac_temporaries_do_not_grow_with_the_stream():
         assert traced_peak(tac_coincidences, starts, stops, 4.0, 9.3) < bound
 
 
+@pytest.mark.traced_memory
 def test_event_csv_writer_peak_does_not_grow_with_the_records(tmp_path):
     # it peaks while one chunk's digit columns and time cells are held, at
     # 162.5 bytes per chunk row at 1, 2, 4 and 16 chunks; 191.5 while the
@@ -973,53 +959,52 @@ def test_event_csv_writer_peak_does_not_grow_with_the_records(tmp_path):
     assert max(few, many) < 170 * simulate._ROWS_PER_CHUNK
 
 
-def test_klyshko_run_peaks_under_24_3_bytes_per_pair():
+_KLYSHKO_BENCH = replace(
+    BenchConfig(),
+    pair_rate_hz=1.0e6,
+    idler_path_loss=0.9,
+    det1=DetectorParams(eta=0.45, dead_time_ns=45.0, dark_rate_hz=500.0),
+    det2=DetectorParams(eta=0.4, dead_time_ns=40.0, dark_rate_hz=800.0),
+    tac=TacParams(window_ns=4.0, stop_delay_ns=9.3),
+    background_rate_hz=2000.0,
+)
+_CALIBRATION = load_config(CALIBRATION_CFG)
+_CALIBRATION_1E6 = replace(_CALIBRATION, pair_rate_hz=1.0e6)
+_THETA_POINT = replace(_CALIBRATION, analyzer=Projector(90.0, _CALIBRATION.analyzer.transmittance))
+
+
+# Each row: the run, its warm-up, its expected pairs, its bound in traced bytes
+# per pair and the peaks per pair on seeds 1-5 that set the bound.
+@pytest.mark.traced_memory
+@pytest.mark.parametrize("run, warm_up, pairs, bytes_per_pair, measured", [
     # the klyshko_highrate bench: 8 bytes per pair hold its emission times and
-    # 8 more one uniform draw; it peaks at 23.72-23.84 bytes per pair on seeds
-    # 1-5, and peaked at 47.3 while the stream merge tagged every event with
-    # an int64 and the TAC was unsliced
-    cfg = replace(
-        BenchConfig(),
-        pair_rate_hz=1.0e6,
-        idler_path_loss=0.9,
-        det1=DetectorParams(eta=0.45, dead_time_ns=45.0, dark_rate_hz=500.0),
-        det2=DetectorParams(eta=0.4, dead_time_ns=40.0, dark_rate_hz=800.0),
-        tac=TacParams(window_ns=4.0, stop_delay_ns=9.3),
-        background_rate_hz=2000.0,
-    )
-    run_klyshko_experiment(cfg, 0.001, 1)
-    assert traced_peak(run_klyshko_experiment, cfg, 1.0, 3) < 24.3 * cfg.pair_rate_hz
-
-
-def test_conditional_run_peaks_under_26_5_bytes_per_pair():
+    # 8 more one uniform draw; it peaked at 47.3 while the stream merge tagged
+    # every event with an int64 and the TAC was unsliced
+    pytest.param(partial(run_klyshko_experiment, _KLYSHKO_BENCH, 1.0, 3),
+                 partial(run_klyshko_experiment, _KLYSHKO_BENCH, 0.001, 1),
+                 _KLYSHKO_BENCH.pair_rate_hz, 24.3, "23.68-23.80", id="klyshko_run"),
     # the calibration bench at 1e6 pairs/s: 8 bytes per pair hold its emission
-    # times and 8 the one buffer its three per-pair draws refill; it peaks at
-    # 26.05-26.15 bytes per pair on seeds 1-5, at 27.37-27.47 when the trigger
-    # arm tags its pair candidates with int64 pair indices, and at 30.1-30.2
-    # when it holds them through the idler arm
-    cfg = replace(load_config(CALIBRATION_CFG), pair_rate_hz=1.0e6)
-    run_conditional_experiment(cfg, 0.001, 1)
-    assert traced_peak(run_conditional_experiment, cfg, 1.0, 3) < 26.5 * cfg.pair_rate_hz
-
-
-def test_theta_point_run_peaks_under_34_bytes_per_pair():
-    # one point of the theta_calibration workload: the calibration bench at
-    # 90 deg for 5 s, 1e5 pairs.  A 1e6-pair run peaks before its TAC, so
-    # only a run of this size sees the TAC's slice: 33.04-33.38 bytes per
-    # expected pair on seeds 1-5, and 35.9-36.3 when the TAC holds its
-    # window bounds through the merge instead of freeing and rebuilding them
-    base = load_config(CALIBRATION_CFG)
-    cfg = replace(base, analyzer=Projector(90.0, base.analyzer.transmittance))
-    run_conditional_experiment(cfg, 0.001, 1)
-    peak = traced_peak(run_conditional_experiment, cfg, 5.0, 3)
-    assert peak < 34 * cfg.pair_rate_hz * 5.0
-
-
-def test_theta_scan_peaks_under_26_6_bytes_per_pair_of_one_point():
+    # times and 8 the one buffer its three per-pair draws refill; 27.37-27.47
+    # when the trigger arm tagged its pair candidates with int64 pair indices,
+    # and 30.1-30.2 when it held them through the idler arm
+    pytest.param(partial(run_conditional_experiment, _CALIBRATION_1E6, 1.0, 3),
+                 partial(run_conditional_experiment, _CALIBRATION_1E6, 0.001, 1),
+                 _CALIBRATION_1E6.pair_rate_hz, 26.5, "26.05-26.15", id="conditional_run"),
+    # one point of the theta_calibration workload, 90 deg for 5 s: a 1e6-pair
+    # run peaks before its TAC, so only a run of this size sees the TAC's
+    # slice; 35.9-36.3 when the TAC held its window bounds through the merge
+    # instead of freeing and rebuilding them
+    pytest.param(partial(run_conditional_experiment, _THETA_POINT, 5.0, 3),
+                 partial(run_conditional_experiment, _THETA_POINT, 0.001, 1),
+                 _THETA_POINT.pair_rate_hz * 5.0, 34, "33.04-33.38", id="theta_point_run"),
     # the points share one set of whole-length buffers, so a scan peaks as one
-    # of its runs does: 26.18-26.22 bytes per pair of a point on seeds 1-5, as
-    # a lone run; a scan that kept each point's arrays would pass 50
-    cfg = replace(load_config(CALIBRATION_CFG), pair_rate_hz=1.0e6)
-    scan_theta(cfg, (0.0,), 0.001, 1)
-    peak = traced_peak(scan_theta, cfg, (0.0, 45.0, 90.0), 1.0, 3)
-    assert peak < 26.6 * cfg.pair_rate_hz
+    # of its runs does, per pair of one point; a scan that kept each point's
+    # arrays would pass 50
+    pytest.param(partial(scan_theta, _CALIBRATION_1E6, (0.0, 45.0, 90.0), 1.0, 3),
+                 partial(scan_theta, _CALIBRATION_1E6, (0.0,), 0.001, 1),
+                 _CALIBRATION_1E6.pair_rate_hz, 26.6, "26.18-26.22", id="theta_scan"),
+])
+def test_run_peaks_per_expected_pair(run, warm_up, pairs, bytes_per_pair, measured):
+    warm_up()
+    peak = traced_peak(run)
+    assert peak < bytes_per_pair * pairs, f"{peak / pairs:.2f} bytes per pair; measured {measured}"

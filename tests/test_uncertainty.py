@@ -1,6 +1,5 @@
 import math
 import sys
-import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -15,6 +14,7 @@ from conftest import (
     sensitivities_conditional_reference,
     sensitivities_klyshko_reference,
     sigfigs_ok,
+    traced_peak,
 )
 from biphoton import uncertainty
 from biphoton.calibrate import (
@@ -361,16 +361,12 @@ def test_monte_carlo_rejects_an_estimator_of_another_length():
             monte_carlo_uncertainty(func, inputs, 40_000)
 
 
+@pytest.mark.traced_memory
 def test_monte_carlo_keeps_each_trial_in_one_array(reference_conditional_inputs):
     # the trial values (8 bytes each) and one temporary of np.std; a list of
     # blocks concatenated peaked at 25 bytes per trial
     trials = 1_000_000
-    tracemalloc.start()
-    try:
-        monte_carlo_uncertainty("conditional", reference_conditional_inputs, trials)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(monte_carlo_uncertainty, "conditional", reference_conditional_inputs, trials)
     assert peak < 20 * trials
 
 
